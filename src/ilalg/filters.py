@@ -5,12 +5,29 @@ A filter is a subset that contains the unit, is closed under both * and
 meet, and is upward closed. The meet clause is not redundant here: without
 x*y <= x there is no way to reach x meet y from x*y by upward closure.
 
+Every filter is principal: on a finite law-valid algebra the filters are
+exactly the upsets ^e of the idempotent subunits e (e <= 1, e*e = e), and
+^e contains ^e' exactly when e <= e'.
+- A filter F is finite and meet-closed, so m = meet(F) is in F, and F is
+  upward closed, so F = ^m. 1 in F gives m <= 1, and m*m in F gives
+  m <= m*m <= m*1 = m.
+- If e <= 1 and e*e = e, monotonicity of * makes ^e a filter.
+Enumeration is therefore a scan of the elements; each upset it yields is
+still re-checked by the exhaustive `is_filter`.
+
+The least filter containing S is ^f for the greatest idempotent subunit f
+below a = 1 meet (meet S). As b <= 1 gives b*b <= b*1 = b, the squares
+a >= a^2 >= a^4 >= ... descend through subunits to a fixpoint f = f*f <= a;
+an idempotent e' <= b gives e' = e'*e' <= b*b, so every idempotent e' <= a
+stays below each term, hence below f.
+
 Subsets are bitmasks over carrier indices; enumeration output is sorted by
 ascending mask so reports are diffable.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable
 
 from .core import FiniteILAlgebra, is_idempotent, require_valid
@@ -74,14 +91,6 @@ def subset_mask(alg: FiniteILAlgebra, subset: FilterSubset | int | Iterable[int]
     return mask
 
 
-def _upsets(alg: FiniteILAlgebra) -> list[int]:
-    """Strict-upper masks per element."""
-    return [
-        sum(1 << j for j in range(alg.n) if j != i and alg.leq_table[i][j])
-        for i in range(alg.n)
-    ]
-
-
 def is_filter(
     alg: FiniteILAlgebra, subset: FilterSubset | int | Iterable[int]
 ) -> FilterCheck:
@@ -121,63 +130,48 @@ def describe_filter_failure(alg: FiniteILAlgebra, check: FilterCheck) -> str:
     return f"{names[0]} is in the subset but {names[1]} above it is not"
 
 
+def _idempotent_subunits(alg: FiniteILAlgebra) -> list[int]:
+    """Elements e <= 1 with e*e = e, in index order."""
+    return [
+        e for e in range(alg.n)
+        if alg.leq_table[e][alg.unit] and alg.star_table[e][e] == e
+    ]
+
+
+def _meet_of(alg: FiniteILAlgebra, mask: int) -> int:
+    """Meet of a nonempty subset."""
+    members = (i for i in range(alg.n) if mask >> i & 1)
+    return reduce(lambda x, y: alg.meet_table[x][y], members)
+
+
+def _principal_filter(alg: FiniteILAlgebra, e: int) -> int:
+    """Mask of the upset of e, re-checked to be a filter."""
+    mask = sum(1 << j for j in range(alg.n) if alg.leq_table[e][j])
+    check = is_filter(alg, mask)
+    if not check.ok:
+        raise AlgebraError(f"upset of {alg.carrier[e]} is not a filter: "
+                           + describe_filter_failure(alg, check))
+    return mask
+
+
 def filter_closure(
     alg: FiniteILAlgebra, subset: FilterSubset | int | Iterable[int]
 ) -> FilterSubset:
-    """Smallest filter containing the subset.
-
-    Iterates insertion of the unit, closure under * and meet, and upward
-    closure to a fixpoint; monotone on a finite powerset, so it terminates.
-    The result may be the whole carrier.
-    """
+    """Smallest filter containing the subset: the upset of the first
+    fixpoint of squaring from 1 meet (meet subset). May be the carrier."""
     require_valid(alg, "filter_closure")
-    up = _upsets(alg)
-    mask = subset_mask(alg, subset) | 1 << alg.unit
-    while True:
-        new = mask
-        for i in range(alg.n):
-            if new >> i & 1:
-                new |= up[i]
-        members = [i for i in range(alg.n) if new >> i & 1]
-        for i in members:
-            for j in members:
-                new |= 1 << alg.star_table[i][j]
-                new |= 1 << alg.meet_table[i][j]
-        if new == mask:
-            return FilterSubset(alg, mask)
-        mask = new
+    a = _meet_of(alg, subset_mask(alg, subset) | 1 << alg.unit)
+    while alg.star_table[a][a] != a:
+        a = alg.star_table[a][a]
+    return FilterSubset(alg, _principal_filter(alg, a))
 
 
 def enumerate_filters(alg: FiniteILAlgebra) -> list[FilterSubset]:
-    """All filters, in ascending-bitmask order.
-
-    Strategy: depth-first generation of the upward-closed sets containing
-    the unit (walking a top-down linear extension, an element may join only
-    when everything above it is already in), then the two closure tests.
-    """
+    """All filters, in ascending-bitmask order: the upsets of the idempotent
+    subunits."""
     require_valid(alg, "enumerate_filters")
-    up = _upsets(alg)
-    order = sorted(range(alg.n), key=lambda i: (bin(up[i]).count("1"), i))
-    found: list[int] = []
-
-    def walk(pos: int, mask: int) -> None:
-        if pos == len(order):
-            check = is_filter(alg, mask)
-            if check.ok:
-                found.append(mask)
-            return
-        i = order[pos]
-        can_join = up[i] & mask == up[i]
-        if i == alg.unit:
-            if can_join:
-                walk(pos + 1, mask | 1 << i)
-            return
-        walk(pos + 1, mask)
-        if can_join:
-            walk(pos + 1, mask | 1 << i)
-
-    walk(0, 0)
-    return [FilterSubset(alg, mask) for mask in sorted(found)]
+    masks = sorted(_principal_filter(alg, e) for e in _idempotent_subunits(alg))
+    return [FilterSubset(alg, mask) for mask in masks]
 
 
 def is_distributive_filter(
@@ -242,24 +236,23 @@ def is_affine_filter(
 def is_maximal_filter(
     alg: FiniteILAlgebra, subset: FilterSubset | int | Iterable[int]
 ) -> bool:
-    """Proper, and contained in no other proper filter.
+    """Proper, and contained in no other proper filter: the least element m
+    is not bot, and no idempotent subunit lies strictly between bot and m.
 
     The carrier itself is a filter but never maximal; otherwise it would be
-    vacuously maximal and shadow every genuine one. Needs the full filter
-    lattice, hence a law-valid algebra.
+    vacuously maximal and shadow every genuine one. Needs a law-valid
+    algebra, where every filter is principal.
     """
     require_valid(alg, "is_maximal_filter")
     mask = subset_mask(alg, subset)
     check = is_filter(alg, mask)
     if not check.ok:
         raise NotAFilterError(check.condition, check.witness)
-    full = (1 << alg.n) - 1
-    if mask == full:
-        return False
-    for other in enumerate_filters(alg):
-        if other.mask != full and other.mask != mask and other.mask & mask == mask:
-            return False
-    return True
+    m = _meet_of(alg, mask)
+    return m != alg.bottom and not any(
+        e not in (alg.bottom, m) and alg.leq_table[e][m]
+        for e in _idempotent_subunits(alg)
+    )
 
 
 def classify_filter(

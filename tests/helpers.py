@@ -4,7 +4,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import oracle
-from ilalg import build_algebra, parse_spec
+from ilalg import assemble_algebra, build_algebra, parse_spec
 from ilalg.fixtures import expectations, fixture_names, fixture_text
 
 ALL_FIXTURES = fixture_names()
@@ -44,3 +44,30 @@ def mask_of(alg, names):
 
 def upset_of_unit(alg):
     return [i for i in range(alg.n) if alg.leq_table[alg.unit][i]]
+
+
+def direct_product(a, b):
+    """The direct product A x B of two valid algebras, strictly built.
+
+    Element (x, y) sits at index x * b.n + y, named "x.y"; order, star and
+    arrow are componentwise, so the arrow table is checked, not derived.
+    """
+    pairs = [(x, y) for x in range(a.n) for y in range(b.n)]
+
+    def op(ta, tb):
+        return [[ta[x][u] * b.n + tb[y][v] for u, v in pairs] for x, y in pairs]
+
+    order = [
+        (i, j)
+        for i, (x, y) in enumerate(pairs)
+        for j, (u, v) in enumerate(pairs)
+        if a.leq_table[x][u] and b.leq_table[y][v]
+    ]
+    alg, _ = assemble_algebra(
+        [f"{a.carrier[x]}.{b.carrier[y]}" for x, y in pairs],
+        order,
+        op(a.star_table, b.star_table),
+        unit=a.unit * b.n + b.unit,
+        arrow=op(a.arrow_table, b.arrow_table),
+    )
+    return alg

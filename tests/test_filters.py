@@ -2,11 +2,19 @@
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import pytest
 
 import oracle
-from helpers import VALID_FIXTURES, algebra_of, mask_of, model_of, upset_of_unit
+from helpers import (
+    VALID_FIXTURES,
+    algebra_of,
+    direct_product,
+    mask_of,
+    model_of,
+    upset_of_unit,
+)
 from ilalg import (
     BuildError,
     NotAFilterError,
@@ -81,6 +89,16 @@ def test_closure_of_carrier_is_carrier(name):
     alg = algebra_of(name)
     full = (1 << alg.n) - 1
     assert filter_closure(alg, full).mask == full
+
+
+@pytest.mark.parametrize("name", VALID_FIXTURES)
+def test_closure_of_every_subset_matches_oracle(name):
+    alg = algebra_of(name)
+    model = model_of(name)
+    for bits in range(1 << alg.n):
+        members = alg.names(i for i in range(alg.n) if bits >> i & 1)
+        ref = oracle.least_filter_containing(model, members)
+        assert list(filter_closure(alg, bits).member_names()) == ref
 
 
 def test_closure_blows_up_to_carrier_when_star_escapes():
@@ -269,3 +287,47 @@ def test_filter_flags_attached_by_classify_all():
         assert row.flags is not None
         recomputed = classify_filter(row.algebra, row.mask)
         assert row.flags == recomputed
+
+
+@pytest.mark.parametrize(
+    "left,right", list(itertools.combinations_with_replacement(VALID_FIXTURES, 2))
+)
+def test_product_filters_are_products_of_factor_filters(left, right):
+    a, b = algebra_of(left), algebra_of(right)
+    expected = sorted(
+        sum(1 << x * b.n + y for x in f.members() for y in g.members())
+        for f in enumerate_filters(a)
+        for g in enumerate_filters(b)
+    )
+    found = enumerate_filters(direct_product(a, b))
+    assert [f.mask for f in found] == expected
+
+
+@lru_cache(maxsize=None)
+def bool2_power(k):
+    """bool2^k; its elements are named by their k coordinates joined by '.'."""
+    alg = algebra_of("bool2")
+    for _ in range(k - 1):
+        alg = direct_product(alg, algebra_of("bool2"))
+    return alg
+
+
+def upset_mask(alg, i):
+    return sum(1 << j for j in range(alg.n) if alg.leq_table[i][j])
+
+
+def test_boolean_power_filters_are_all_principal_upsets():
+    alg = bool2_power(6)
+    assert alg.n == 64
+    # a Boolean algebra: every element is an idempotent subunit
+    found = enumerate_filters(alg)
+    assert len(found) == 64
+    assert {f.mask for f in found} == {upset_mask(alg, i) for i in range(alg.n)}
+
+
+def test_boolean_power_maximal_filters_are_atom_upsets():
+    alg = bool2_power(6)
+    atoms = [i for i, name in enumerate(alg.carrier) if name.split(".").count("1") == 1]
+    assert len(atoms) == 6
+    maximal = {f.mask for f in enumerate_filters(alg) if is_maximal_filter(alg, f.mask)}
+    assert maximal == {upset_mask(alg, a) for a in atoms}
