@@ -9,13 +9,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .core import (
-    build_algebra,
-    check_identities,
-    check_lattice,
-    check_monoid,
-    check_residuation,
-)
+from .core import build_algebra, check_identities
 from .errors import (
     BuildError,
     NotResiduatedError,
@@ -85,7 +79,7 @@ def main(argv=None) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -130,12 +124,7 @@ def _cmd_check(doc, args) -> int:
         _emit(out, args.machine)
         return EXIT_VIOLATIONS
     alg, report = built
-    for label, check in (
-        ("lattice", check_lattice),
-        ("monoid", check_monoid),
-        ("residuation", check_residuation),
-    ):
-        part = check(alg)
+    for label, part in report.suites:
         out.add("VERDICT", label, (), part.status)
         out.extend_violations(part)
     for v in report.violations:

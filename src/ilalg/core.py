@@ -7,6 +7,18 @@ is what separates these structures from residuated lattices proper.
 
 Algebras are immutable after construction and every operation below is a
 pure read, so instances are safe to share across threads.
+
+The order is also read as per-element bitmasks: bit j of up[i], and bit i
+of down[j], is set when i <= j. The least element of a set U is the u in U
+with U inside up[u], and the greatest the u with U inside down[u]; a bound
+counts only when exactly one such u exists, so a relation with a cycle
+still has none. The bound tables and transitivity are checked the same
+way, with k taken from up[j] minus up[i] in ascending order.
+
+The monotonicity identities loop x1 over the ascending up-list of x and y1
+over that of y. These are exactly the 4-tuples (x, y, x1, y1) with
+x <= x1 and y <= y1 that a sweep of all n^4 tuples keeps, visited in the
+same lexicographic order, so every witness list comes out unchanged.
 """
 from __future__ import annotations
 
@@ -36,6 +48,9 @@ class Violation:
 @dataclass(frozen=True)
 class VerificationReport:
     violations: tuple[Violation, ...] = ()
+    # A build report also keeps each core suite's own report, as
+    # (label, report) pairs in the order the suites ran.
+    suites: tuple[tuple[str, "VerificationReport"], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -44,9 +59,6 @@ class VerificationReport:
     @property
     def status(self) -> str:
         return "pass" if self.ok else "fail"
-
-    def merged(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(self.violations + other.violations)
 
     def by_law(self) -> dict[str, list[tuple[str, ...]]]:
         out: dict[str, list[tuple[str, ...]]] = {}
@@ -146,14 +158,38 @@ def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[bo
     return le
 
 
-def _greatest(le, members: list[int]) -> int | None:
-    hits = [u for u in members if all(le[v][u] for v in members)]
-    return hits[0] if len(hits) == 1 else None
+def _bits(mask: int):
+    """Indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _least(le, members: list[int]) -> int | None:
-    hits = [u for u in members if all(le[u][v] for v in members)]
-    return hits[0] if len(hits) == 1 else None
+def _order_masks(le) -> tuple[list[int], list[int]]:
+    """Up and down masks of a relation: bit j of up[i] and bit i of down[j]
+    are both le[i][j]."""
+    n = len(le)
+    up, down = [0] * n, [0] * n
+    for i, row in enumerate(le):
+        for j, related in enumerate(row):
+            if related:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return up, down
+
+
+def _unique_bound(members: int, bound: list[int]) -> int | None:
+    """The one u in `members` with members inside bound[u], or None when no
+    element or several qualify. bound = up gives the least element of the
+    set, bound = down the greatest."""
+    found = None
+    for u in _bits(members):
+        if not members & ~bound[u]:
+            if found is not None:
+                return None
+            found = u
+    return found
 
 
 def derive_arrow(star, le) -> list[list[int]]:
@@ -165,12 +201,20 @@ def derive_arrow(star, le) -> list[list[int]]:
     set is empty or has no greatest element.
     """
     n = len(le)
+    _, down = _order_masks(le)
     table = [[0] * n for _ in range(n)]
     failures = []
     for x in range(n):
+        # w grouped by the value x*w, so each (x, z) tests each value once.
+        preimages: dict[int, int] = {}
+        for w, s in enumerate(star[x]):
+            preimages[s] = preimages.get(s, 0) | 1 << w
         for z in range(n):
-            solutions = [w for w in range(n) if le[star[x][w]][z]]
-            best = _greatest(le, solutions) if solutions else None
+            solutions = 0
+            for s, ws in preimages.items():
+                if le[s][z]:
+                    solutions |= ws
+            best = _unique_bound(solutions, down)
             if best is None:
                 failures.append((x, z))
             else:
@@ -221,7 +265,8 @@ def assemble_algebra(
                     f"order contains a cycle through {names[i]!r} and {names[j]!r}"
                 )
 
-    bottom = _least(le, list(range(n)))
+    up, down = _order_masks(le)
+    bottom = _unique_bound((1 << n) - 1, up)
     if bottom is None:
         raise BuildError("order has no least element")
     if declared_bottom is not None and declared_bottom != bottom:
@@ -230,24 +275,24 @@ def assemble_algebra(
             f"element (computed {names[bottom]!r})"
         )
 
+    # Both bounds are symmetric in (i, j), and so is failing, so the first
+    # failing pair in row-major order has i <= j.
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            uppers = [u for u in range(n) if le[i][u] and le[j][u]]
-            lub = _least(le, uppers) if uppers else None
+        for j in range(i, n):
+            lub = _unique_bound(up[i] & up[j], up)
             if lub is None:
                 raise BuildError(
                     f"pair ({names[i]}, {names[j]}) has no least upper bound"
                 )
-            lowers = [u for u in range(n) if le[u][i] and le[u][j]]
-            glb = _greatest(le, lowers) if lowers else None
+            glb = _unique_bound(down[i] & down[j], down)
             if glb is None:
                 raise BuildError(
                     f"pair ({names[i]}, {names[j]}) has no greatest lower bound"
                 )
-            join[i][j] = lub
-            meet[i][j] = glb
+            join[i][j] = join[j][i] = lub
+            meet[i][j] = meet[j][i] = glb
 
     if arrow is None:
         arrow = derive_arrow(star, le)
@@ -267,12 +312,14 @@ def assemble_algebra(
         valid=False,
     )
 
-    report = (
-        check_lattice(alg)
-        .merged(check_monoid(alg))
-        .merged(check_residuation(alg))
-        .merged(_check_top(alg, declared_top))
+    suites = (
+        ("lattice", check_lattice(alg)),
+        ("monoid", check_monoid(alg)),
+        ("residuation", check_residuation(alg)),
     )
+    violations = [v for _, part in suites for v in part.violations]
+    violations += _check_top(alg, declared_top).violations
+    report = VerificationReport(tuple(violations), suites)
     alg = replace(alg, valid=report.ok)
     if mode == "strict" and not report.ok:
         raise LawViolationError(report)
@@ -369,6 +416,7 @@ def _freeze_bool(table):
 def check_lattice(alg: FiniteILAlgebra) -> VerificationReport:
     """Order axioms, least element, and correctness of the bound tables."""
     le, nm, n = alg.leq_table, alg.carrier, alg.n
+    up, down = _order_masks(le)
     out: list[Violation] = []
     for i in range(n):
         if not le[i][i]:
@@ -386,14 +434,13 @@ def check_lattice(alg: FiniteILAlgebra) -> VerificationReport:
         for j in range(n):
             if not le[i][j]:
                 continue
-            for k in range(n):
-                if le[j][k] and not le[i][k]:
-                    out.append(
-                        Violation(
-                            "order-transitive", (nm[i], nm[j], nm[k]),
-                            "x <= z", "x <= y <= z but not x <= z",
-                        )
+            for k in _bits(up[j] & ~up[i]):
+                out.append(
+                    Violation(
+                        "order-transitive", (nm[i], nm[j], nm[k]),
+                        "x <= z", "x <= y <= z but not x <= z",
                     )
+                )
     for j in range(n):
         if not le[alg.bottom][j]:
             out.append(
@@ -405,9 +452,7 @@ def check_lattice(alg: FiniteILAlgebra) -> VerificationReport:
     for i in range(n):
         for j in range(n):
             u = alg.join_table[i][j]
-            if not (le[i][u] and le[j][u]) or any(
-                le[i][v] and le[j][v] and not le[u][v] for v in range(n)
-            ):
+            if not (le[i][u] and le[j][u]) or up[i] & up[j] & ~up[u]:
                 out.append(
                     Violation(
                         "join-table", (nm[i], nm[j]),
@@ -415,9 +460,7 @@ def check_lattice(alg: FiniteILAlgebra) -> VerificationReport:
                     )
                 )
             w = alg.meet_table[i][j]
-            if not (le[w][i] and le[w][j]) or any(
-                le[v][i] and le[v][j] and not le[v][w] for v in range(n)
-            ):
+            if not (le[w][i] and le[w][j]) or down[i] & down[j] & ~down[w]:
                 out.append(
                     Violation(
                         "meet-table", (nm[i], nm[j]),
@@ -583,13 +626,14 @@ def check_identities(alg: FiniteILAlgebra) -> VerificationReport:
             out.append(
                 Violation("unit-arrow-identity", (nm[x],), nm[x], nm[ar[u][x]])
             )
+    ups = [[j for j in range(n) if le[i][j]] for i in range(n)]
     for x in range(n):
         for y in range(n):
-            for x1 in range(n):
-                for y1 in range(n):
-                    if not (le[x][x1] and le[y][y1]):
-                        continue
-                    if not le[st[x][y]][st[x1][y1]]:
+            le_xy = le[st[x][y]]
+            for x1 in ups[x]:
+                st_x1, le_x1y = st[x1], le[ar[x1][y]]
+                for y1 in ups[y]:
+                    if not le_xy[st_x1[y1]]:
                         out.append(
                             Violation(
                                 "star-monotone", (nm[x], nm[y], nm[x1], nm[y1]),
@@ -597,7 +641,7 @@ def check_identities(alg: FiniteILAlgebra) -> VerificationReport:
                                 "fails",
                             )
                         )
-                    if not le[ar[x1][y]][ar[x][y1]]:
+                    if not le_x1y[ar[x][y1]]:
                         out.append(
                             Violation(
                                 "arrow-antitone", (nm[x], nm[y], nm[x1], nm[y1]),

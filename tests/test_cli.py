@@ -60,6 +60,13 @@ def test_missing_file_is_usage_error(capsys):
     assert main(["check", "/nonexistent/file.alg"]) == 3
 
 
+def test_non_utf8_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.alg"
+    bad.write_bytes("algebra caf\xe9\nelements a\n".encode("latin-1"))
+    assert main(["check", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith(f"cannot read {bad}: ")
+
+
 def test_bad_usage_is_exit_three(capsys):
     assert main(["no-such-command"]) == 3
     assert main([]) == 3

@@ -1,6 +1,10 @@
 """Algebra construction and the law/identity suites."""
 from __future__ import annotations
 
+import itertools
+import random
+from functools import lru_cache
+
 import pytest
 
 import oracle
@@ -10,6 +14,7 @@ from helpers import (
     VALID_FIXTURES,
     algebra_of,
     built,
+    direct_product,
     doc_of,
     model_of,
     report_of,
@@ -30,6 +35,55 @@ from ilalg import (
     is_idempotent,
 )
 from ilalg.fixtures import expectations
+
+# Small products (n <= 12) of valid fixtures, each with one seeded cell of
+# one table changed: lenient inputs whose violations the oracle can sweep.
+MUTATED_PRODUCTS = [
+    f"{a}*{b}/{table}"
+    for a, b in itertools.combinations_with_replacement(VALID_FIXTURES, 2)
+    if 1 < algebra_of(a).n <= algebra_of(b).n
+    and algebra_of(a).n * algebra_of(b).n <= 12
+    for table in ("star", "arrow")
+]
+WITNESS_CASES = ALL_FIXTURES + MUTATED_PRODUCTS
+
+
+@lru_cache(maxsize=None)
+def lenient_case(case):
+    """(algebra, build report, oracle model) for a fixture or a mutated product."""
+    if case in ALL_FIXTURES:
+        return algebra_of(case), report_of(case), model_of(case)
+    factors, table = case.split("/")
+    a, b = factors.split("*")
+    p = direct_product(algebra_of(a), algebra_of(b))
+    tables = {
+        "star": [list(row) for row in p.star_table],
+        "arrow": [list(row) for row in p.arrow_table],
+    }
+    rng = random.Random(case)
+    i, j = rng.randrange(p.n), rng.randrange(p.n)
+    old = tables[table][i][j]
+    tables[table][i][j] = rng.choice([v for v in range(p.n) if v != old])
+    order = [(x, y) for x in range(p.n) for y in range(p.n) if p.leq_table[x][y]]
+    alg, report = assemble_algebra(
+        p.carrier, order, tables["star"], unit=p.unit, arrow=tables["arrow"],
+        mode="lenient",
+    )
+    nm = p.carrier
+
+    def rows(t):
+        return {nm[x]: [nm[v] for v in t[x]] for x in range(p.n)}
+
+    model = oracle.Model(
+        nm, [(nm[x], nm[y]) for x, y in order], rows(tables["star"]),
+        nm[p.unit], rows(tables["arrow"]),
+    )
+    return alg, report, model
+
+
+def in_order(by_law):
+    """Laws in first-failure order, each with its witnesses in order."""
+    return [(law, [tuple(w) for w in wits]) for law, wits in by_law.items()]
 
 
 @pytest.mark.parametrize("name", VALID_FIXTURES)
@@ -59,11 +113,20 @@ def test_lenient_build_report_matches_sidecar(name):
         assert list(by_law[law][0]) == data["first"]
 
 
+@pytest.mark.parametrize("case", WITNESS_CASES)
+def test_law_witnesses_equal_oracle(case):
+    _, report, model = lenient_case(case)
+    assert in_order(report.by_law()) == in_order(oracle.law_failures(model))
+
+
 @pytest.mark.parametrize("name", ALL_FIXTURES)
-def test_law_witnesses_equal_oracle(name):
-    engine = {k: [tuple(w) for w in v] for k, v in report_of(name).by_law().items()}
-    ref = {k: [tuple(w) for w in v] for k, v in oracle.law_failures(model_of(name)).items()}
-    assert engine == ref
+def test_build_report_keeps_each_core_suite(name):
+    alg, report = built(name)
+    assert report.suites == (
+        ("lattice", check_lattice(alg)),
+        ("monoid", check_monoid(alg)),
+        ("residuation", check_residuation(alg)),
+    )
 
 
 def test_one_element_algebra_is_degenerate():
@@ -89,6 +152,83 @@ def test_check_lattice_reports_two_cycle():
     )
     laws = check_lattice(alg).by_law()
     assert ("x", "y") in laws["order-antisymmetric"]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_check_lattice_on_hand_built_relation_matches_sweep(seed):
+    # Seed 0 is a 2-cycle above a least element; the rest are random
+    # relations, almost all of them neither transitive nor antisymmetric.
+    rng = random.Random(seed)
+    if seed == 0:
+        n, le = 3, ((True, True, True), (False, True, True), (False, True, True))
+    else:
+        n, density = rng.randint(2, 6), rng.random()
+        le = tuple(
+            tuple(rng.random() < density for _ in range(n)) for _ in range(n)
+        )
+
+    def table():
+        return tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+
+    jn, mt = table(), table()
+    alg = FiniteILAlgebra(
+        carrier=tuple(f"e{i}" for i in range(n)), leq_table=le,
+        join_table=jn, meet_table=mt, star_table=table(), arrow_table=table(),
+        bottom=0, unit=0, top=0, valid=False,
+    )
+    nm, rn = alg.carrier, range(n)
+    sweep = {
+        "order-transitive": [
+            (nm[i], nm[j], nm[k]) for i in rn for j in rn for k in rn
+            if le[i][j] and le[j][k] and not le[i][k]
+        ],
+        "join-table": [
+            (nm[i], nm[j]) for i in rn for j in rn
+            if not (le[i][jn[i][j]] and le[j][jn[i][j]])
+            or any(le[i][v] and le[j][v] and not le[jn[i][j]][v] for v in rn)
+        ],
+        "meet-table": [
+            (nm[i], nm[j]) for i in rn for j in rn
+            if not (le[mt[i][j]][i] and le[mt[i][j]][j])
+            or any(le[v][i] and le[v][j] and not le[v][mt[i][j]] for v in rn)
+        ],
+    }
+    laws = check_lattice(alg).by_law()
+    assert {law: laws.get(law, []) for law in sweep} == sweep
+
+
+def test_derive_arrow_on_two_cycle_fails_where_oracle_has_no_greatest():
+    rng = random.Random(7)
+    names = ["o", "p", "q", "r"]
+    # o below everything, p <= q <= p, r on its own above o.
+    le = (
+        (True, True, True, True),
+        (False, True, True, False),
+        (False, True, True, False),
+        (False, False, False, True),
+    )
+    named = {
+        (a, b): le[i][j] for i, a in enumerate(names) for j, b in enumerate(names)
+    }
+    raised = 0
+    for _ in range(30):
+        star = [[rng.randrange(4) for _ in range(4)] for _ in range(4)]
+        greatest = {
+            (x, z): oracle.greatest_of(
+                names, named, [names[w] for w in range(4) if le[star[x][w]][z]]
+            )
+            for x in range(4) for z in range(4)
+        }
+        expected = [pair for pair, g in greatest.items() if g is None]
+        if not expected:
+            table = derive_arrow(star, le)
+            assert {(x, z): names[table[x][z]] for x, z in greatest} == greatest
+            continue
+        with pytest.raises(NotResiduatedError) as err:
+            derive_arrow(star, le)
+        assert err.value.pairs == expected
+        raised += 1
+    assert raised > 0
 
 
 def test_check_monoid_exhaustive_on_chain():
@@ -146,17 +286,11 @@ def test_identities_pass_on_valid_fixtures(name):
     assert check_identities(algebra_of(name)).ok
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
-def test_identity_witnesses_equal_oracle(name):
-    engine = {
-        k: [tuple(w) for w in v]
-        for k, v in check_identities(algebra_of(name)).by_law().items()
-    }
-    ref = {
-        k: [tuple(w) for w in v]
-        for k, v in oracle.identity_failures(model_of(name)).items()
-    }
-    assert engine == ref
+@pytest.mark.parametrize("case", WITNESS_CASES)
+def test_identity_witnesses_equal_oracle(case):
+    alg, _, model = lenient_case(case)
+    engine = check_identities(alg).by_law()
+    assert in_order(engine) == in_order(oracle.identity_failures(model))
 
 
 def test_monotonicity_witness_on_erratic_chain():
