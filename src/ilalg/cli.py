@@ -38,6 +38,12 @@ EXIT_USAGE = 3
 
 _FLAG_NAMES = ("distributive", "prime", "maximal", "implicative", "affine")
 
+# Commands that refuse an algebra whose lenient build broke a law.
+_NEEDS_VALID = {
+    "filters": "filter enumeration needs a law-valid algebra",
+    "quotient": "quotient construction needs a law-valid algebra",
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -87,13 +93,32 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    command = {
-        "check": _cmd_check,
-        "filters": _cmd_filters,
-        "quotient": _cmd_quotient,
-        "derive-arrow": _cmd_derive_arrow,
-    }[args.command]
-    return command(doc, args)
+    if args.command == "derive-arrow":
+        doc = replace(doc, arrow_rows=None)
+    out = ReportDocument()
+    try:
+        alg, report = build_algebra(doc, mode="lenient")
+    except NotResiduatedError as exc:
+        for x, z in exc.pairs:
+            out.add("ERROR", "not-residuated",
+                    (doc.elements[x], doc.elements[z]),
+                    "no greatest solution w of x*w <= z")
+    except BuildError as exc:
+        out.add("ERROR", "build", (), str(exc))
+    else:
+        refusal = None if alg.valid else _NEEDS_VALID.get(args.command)
+        if refusal is None:
+            command = {
+                "check": _cmd_check,
+                "filters": _cmd_filters,
+                "quotient": _cmd_quotient,
+                "derive-arrow": _cmd_derive_arrow,
+            }[args.command]
+            return command(doc, alg, report, out, args)
+        out.add("ERROR", args.command, (), refusal)
+        out.extend_violations(report)
+    _emit(out, args.machine)
+    return EXIT_VIOLATIONS
 
 
 def _emit(doc: ReportDocument, machine: bool) -> None:
@@ -102,28 +127,7 @@ def _emit(doc: ReportDocument, machine: bool) -> None:
         print(text)
 
 
-def _build_lenient(doc, out: ReportDocument):
-    """Build for reporting; returns (algebra, report) or None after logging."""
-    try:
-        return build_algebra(doc, mode="lenient")
-    except NotResiduatedError as exc:
-        for x, z in exc.pairs:
-            out.add("ERROR", "not-residuated",
-                    (doc.elements[x], doc.elements[z]),
-                    "no greatest solution w of x*w <= z")
-        return None
-    except BuildError as exc:
-        out.add("ERROR", "build", (), str(exc))
-        return None
-
-
-def _cmd_check(doc, args) -> int:
-    out = ReportDocument()
-    built = _build_lenient(doc, out)
-    if built is None:
-        _emit(out, args.machine)
-        return EXIT_VIOLATIONS
-    alg, report = built
+def _cmd_check(doc, alg, report, out, args) -> int:
     for label, part in report.suites:
         out.add("VERDICT", label, (), part.status)
         out.extend_violations(part)
@@ -143,19 +147,7 @@ def _cmd_check(doc, args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATIONS
 
 
-def _cmd_filters(doc, args) -> int:
-    out = ReportDocument()
-    built = _build_lenient(doc, out)
-    if built is None:
-        _emit(out, args.machine)
-        return EXIT_VIOLATIONS
-    alg, report = built
-    if not alg.valid:
-        out.add("ERROR", "filters", (),
-                "filter enumeration needs a law-valid algebra")
-        out.extend_violations(report)
-        _emit(out, args.machine)
-        return EXIT_VIOLATIONS
+def _cmd_filters(doc, alg, report, out, args) -> int:
     if args.classify:
         rows = classify_all(alg)
         for row in rows:
@@ -174,19 +166,7 @@ def _cmd_filters(doc, args) -> int:
     return EXIT_OK
 
 
-def _cmd_quotient(doc, args) -> int:
-    out = ReportDocument()
-    built = _build_lenient(doc, out)
-    if built is None:
-        _emit(out, args.machine)
-        return EXIT_VIOLATIONS
-    alg, report = built
-    if not alg.valid:
-        out.add("ERROR", "quotient", (),
-                "quotient construction needs a law-valid algebra")
-        out.extend_violations(report)
-        _emit(out, args.machine)
-        return EXIT_VIOLATIONS
+def _cmd_quotient(doc, alg, report, out, args) -> int:
     member_names = [m for m in args.filter_members.split(",") if m]
     try:
         members = [alg.index(m) for m in member_names]
@@ -241,14 +221,7 @@ def _cmd_quotient(doc, args) -> int:
     return EXIT_OK if all(checks.values()) else EXIT_VIOLATIONS
 
 
-def _cmd_derive_arrow(doc, args) -> int:
-    out = ReportDocument()
-    stripped = replace(doc, arrow_rows=None)
-    built = _build_lenient(stripped, out)
-    if built is None:
-        _emit(out, args.machine)
-        return EXIT_VIOLATIONS
-    alg, _report = built
+def _cmd_derive_arrow(doc, alg, report, out, args) -> int:
     if args.machine:
         for i in range(alg.n):
             for j in range(alg.n):

@@ -182,7 +182,9 @@ def _order_masks(le) -> tuple[list[int], list[int]]:
 def _unique_bound(members: int, bound: list[int]) -> int | None:
     """The one u in `members` with members inside bound[u], or None when no
     element or several qualify. bound = up gives the least element of the
-    set, bound = down the greatest."""
+    set, bound = down the greatest. The scan does not stop at the first
+    candidate because `derive_arrow` is public and must stay exact on
+    relations with cycles, where a second candidate can exist."""
     found = None
     for u in _bits(members):
         if not members & ~bound[u]:

@@ -49,9 +49,6 @@ class QuotientResult:
     algebra: FiniteILAlgebra
     verdicts: QuotientVerdicts
 
-    def block_names(self) -> tuple[str, ...]:
-        return self.algebra.carrier
-
 
 @dataclass(frozen=True)
 class TheoremCheck:
@@ -67,14 +64,6 @@ class TheoremCheck:
         return not self.premise or self.conclusion
 
 
-def _filter_mask_checked(alg: FiniteILAlgebra, subset: SubsetLike) -> int:
-    mask = subset_mask(alg, subset)
-    check = is_filter(alg, mask)
-    if not check.ok:
-        raise NotAFilterError(check.condition, check.witness)
-    return mask
-
-
 def congruence_classes(
     alg: FiniteILAlgebra, subset: SubsetLike
 ) -> tuple[tuple[int, ...], ...]:
@@ -84,7 +73,10 @@ def congruence_classes(
     mean the subset is not a filter or the algebra is invalid, and raises.
     """
     require_valid(alg, "congruence_classes")
-    mask = _filter_mask_checked(alg, subset)
+    mask = subset_mask(alg, subset)
+    check = is_filter(alg, mask)
+    if not check.ok:
+        raise NotAFilterError(check.condition, check.witness)
     ar = alg.arrow_table
     n = alg.n
 
@@ -106,54 +98,48 @@ def congruence_classes(
 
 
 def quotient_algebra(alg: FiniteILAlgebra, subset: SubsetLike) -> QuotientResult:
-    """Construct the quotient and machine-check everything about it."""
-    require_valid(alg, "quotient_algebra")
-    mask = _filter_mask_checked(alg, subset)
+    """Construct the quotient and machine-check everything about it.
+
+    The projection x -> [x] must be a homomorphism: for join, meet, star,
+    arrow and the order (membership of x->y in the filter), the value at
+    every element pair (x, y) must equal the block table at ([x], [y]),
+    which is read at the blocks' least members.
+    """
+    mask = subset_mask(alg, subset)
     blocks = congruence_classes(alg, mask)
     nblocks = len(blocks)
+    reps = [blk[0] for blk in blocks]
     projection = [0] * alg.n
     for bi, blk in enumerate(blocks):
         for x in blk:
             projection[x] = bi
 
-    tables = {
-        "join": alg.join_table,
-        "meet": alg.meet_table,
-        "star": alg.star_table,
-        "arrow": alg.arrow_table,
+    def projected(table):
+        return [[projection[v] for v in row] for row in table]
+
+    values = {
+        "join": projected(alg.join_table),
+        "meet": projected(alg.meet_table),
+        "star": projected(alg.star_table),
+        "arrow": projected(alg.arrow_table),
+        "order": [[bool(mask >> v & 1) for v in row] for row in alg.arrow_table],
     }
-    induced: dict[str, list[list[int]]] = {}
-    for opname, table in tables.items():
-        out = [[0] * nblocks for _ in range(nblocks)]
-        for bi, bx in enumerate(blocks):
-            for bj, by in enumerate(blocks):
-                value = projection[table[bx[0]][by[0]]]
-                for x in bx:
-                    for y in by:
-                        if projection[table[x][y]] != value:
-                            raise WellDefinednessError(
-                                opname,
-                                alg.carrier[bx[0]], alg.carrier[x],
-                                alg.carrier[by[0]], alg.carrier[y],
-                            )
-                out[bi][bj] = value
-        induced[opname] = out
+    induced = {}
+    for opname, value in values.items():
+        table = [[value[x][y] for y in reps] for x in reps]
+        for x, row in enumerate(value):
+            block_row = table[projection[x]]
+            for y, v in enumerate(row):
+                if v != block_row[projection[y]]:
+                    raise WellDefinednessError(
+                        opname,
+                        alg.carrier[reps[projection[x]]], alg.carrier[x],
+                        alg.carrier[reps[projection[y]]], alg.carrier[y],
+                    )
+        induced[opname] = table
 
-    qleq = [[False] * nblocks for _ in range(nblocks)]
-    for bi, bx in enumerate(blocks):
-        for bj, by in enumerate(blocks):
-            value = bool(mask >> alg.arrow_table[bx[0]][by[0]] & 1)
-            for x in bx:
-                for y in by:
-                    if bool(mask >> alg.arrow_table[x][y] & 1) != value:
-                        raise WellDefinednessError(
-                            "order",
-                            alg.carrier[bx[0]], alg.carrier[x],
-                            alg.carrier[by[0]], alg.carrier[y],
-                        )
-            qleq[bi][bj] = value
-
-    names = tuple(f"[{alg.carrier[blk[0]]}]" for blk in blocks)
+    names = tuple(f"[{alg.carrier[r]}]" for r in reps)
+    qleq = induced["order"]
     order_pairs = [
         (i, j) for i in range(nblocks) for j in range(nblocks) if qleq[i][j]
     ]

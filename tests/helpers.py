@@ -71,3 +71,12 @@ def direct_product(a, b):
         arrow=op(a.arrow_table, b.arrow_table),
     )
     return alg
+
+
+@lru_cache(maxsize=None)
+def bool2_power(k):
+    """bool2^k; its elements are named by their k coordinates joined by '.'."""
+    alg = algebra_of("bool2")
+    for _ in range(k - 1):
+        alg = direct_product(alg, algebra_of("bool2"))
+    return alg

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 import pytest
 
@@ -10,6 +9,7 @@ import oracle
 from helpers import (
     VALID_FIXTURES,
     algebra_of,
+    bool2_power,
     direct_product,
     mask_of,
     model_of,
@@ -301,15 +301,6 @@ def test_product_filters_are_products_of_factor_filters(left, right):
     )
     found = enumerate_filters(direct_product(a, b))
     assert [f.mask for f in found] == expected
-
-
-@lru_cache(maxsize=None)
-def bool2_power(k):
-    """bool2^k; its elements are named by their k coordinates joined by '.'."""
-    alg = algebra_of("bool2")
-    for _ in range(k - 1):
-        alg = direct_product(alg, algebra_of("bool2"))
-    return alg
 
 
 def upset_mask(alg, i):

@@ -1,13 +1,26 @@
 """Congruence classes, quotient construction and the quotient theorems."""
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import pytest
 
 import oracle
-from helpers import VALID_FIXTURES, algebra_of, mask_of, model_of, upset_of_unit
+from helpers import (
+    VALID_FIXTURES,
+    algebra_of,
+    bool2_power,
+    direct_product,
+    mask_of,
+    model_of,
+    upset_of_unit,
+)
 from ilalg import (
     BuildError,
+    CongruenceError,
     NotAFilterError,
+    WellDefinednessError,
     is_filter,
     check_affine_quotient,
     check_distributive_quotient,
@@ -204,3 +217,78 @@ def test_theorem_checks_report_premise_and_conclusion():
         check_affine_quotient(fork, f1),
     ):
         assert not check.premise and not check.conclusion and check.holds
+
+
+def _with_cells(alg, field, cells):
+    """A copy of `alg` (still marked valid) with some cells of one table
+    overwritten; cells maps (x, y) names to the new value's name."""
+    table = [list(row) for row in getattr(alg, field)]
+    for (x, y), value in cells.items():
+        table[alg.index(x)][alg.index(y)] = alg.index(value)
+    return replace(alg, **{field: tuple(map(tuple, table))})
+
+
+CHAIN6HI_AFFINE = ["b", "c", "1", "top"]
+
+
+def test_star_that_ignores_the_blocks_is_not_well_defined():
+    alg = algebra_of("chain6hi-corrected")
+    f = mask_of(alg, CHAIN6HI_AFFINE)
+    bad = _with_cells(alg, "star_table", {("c", "bot"): "a"})
+    with pytest.raises(WellDefinednessError) as info:
+        quotient_algebra(bad, f)
+    assert info.value.op == "star"
+    x, x_alt, y, y_alt = (alg.index(e) for e in info.value.witness)
+    proj = quotient_algebra(alg, f).projection
+    assert proj[x] == proj[x_alt] and proj[y] == proj[y_alt]
+    star = bad.star_table
+    assert proj[star[x][y]] != proj[star[x_alt][y_alt]]
+
+
+def test_arrow_that_breaks_transitivity_is_not_a_congruence():
+    alg = algebra_of("chain6hi-corrected")
+    bad = _with_cells(
+        alg, "arrow_table", {("c", "bot"): "top", ("bot", "c"): "top"}
+    )
+    with pytest.raises(CongruenceError) as info:
+        quotient_algebra(bad, mask_of(alg, CHAIN6HI_AFFINE))
+    assert type(info.value) is CongruenceError
+    assert "not transitive" in str(info.value)
+
+
+def _product_blocks(a_blocks, b_blocks, bn):
+    return tuple(sorted(
+        tuple(sorted(x * bn + y for x in bx for y in by))
+        for bx in a_blocks
+        for by in b_blocks
+    ))
+
+
+def _product_mask(f, g, bn):
+    return sum(1 << x * bn + y for x in f.members() for y in g.members())
+
+
+@pytest.mark.parametrize(
+    "left,right", list(itertools.combinations_with_replacement(VALID_FIXTURES, 2))
+)
+def test_product_quotient_blocks_are_products_of_factor_blocks(left, right):
+    a, b = algebra_of(left), algebra_of(right)
+    ab = direct_product(a, b)
+    for f, g in itertools.product(enumerate_filters(a), enumerate_filters(b)):
+        result = quotient_algebra(ab, _product_mask(f, g, b.n))
+        assert result.blocks == _product_blocks(
+            congruence_classes(a, f.mask), congruence_classes(b, g.mask), b.n
+        )
+        assert result.verdicts.is_il_algebra
+
+
+def test_boolean_power_quotient_by_product_filter():
+    # bool2^6 = bool2^5 x bool2, and {top} x bool2 leaves 32 blocks of two
+    a, b = bool2_power(5), algebra_of("bool2")
+    mask = sum(1 << a.top * b.n + y for y in range(b.n))
+    result = quotient_algebra(bool2_power(6), mask)
+    assert len(result.blocks) == 32
+    assert result.blocks == _product_blocks(
+        [(x,) for x in range(a.n)], [tuple(range(b.n))], b.n
+    )
+    assert result.verdicts.is_il_algebra
