@@ -193,7 +193,7 @@ def _cmd_quotient(doc, alg, report, out, args) -> int:
                             q.carrier[table[i][j]])
     order_ok = check_quotient_order(alg, members)
     checks = {
-        "induced-algebra": result.verdicts.is_il_algebra,
+        "induced-algebra": result.algebra.valid,
         "quotient-order": order_ok,
     }
     for label, ok in checks.items():
@@ -210,7 +210,7 @@ def _cmd_quotient(doc, alg, report, out, args) -> int:
         )
         out.add("VERDICT", label, (), detail)
         checks[label] = theorem.holds
-    if result.verdicts.singleton_blocks:
+    if len(result.blocks) == alg.n:
         out.add("NOTE", "quotient", (),
                 "all blocks are singletons, the quotient matches the source")
     _emit(out, args.machine)

@@ -129,9 +129,6 @@ class FiniteILAlgebra:
         self._check(x, y)
         return self.arrow_table[x][y]
 
-    def elements(self) -> range:
-        return range(self.n)
-
 
 def require_valid(alg: FiniteILAlgebra, operation: str) -> None:
     """Guard for operations that only make sense on law-valid algebras."""

@@ -69,10 +69,6 @@ class FilterSubset:
     def __contains__(self, index: int) -> bool:
         return bool(self.mask >> index & 1)
 
-    @property
-    def is_proper(self) -> bool:
-        return self.mask != (1 << self.algebra.n) - 1
-
 
 def subset_mask(alg: FiniteILAlgebra, subset: FilterSubset | int | Iterable[int]) -> int:
     """Normalize a subset argument to a bitmask over the carrier."""

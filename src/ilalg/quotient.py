@@ -32,22 +32,11 @@ SubsetLike = FilterSubset | int | Iterable[int]
 
 
 @dataclass(frozen=True)
-class QuotientVerdicts:
-    is_il_algebra: bool
-    distributive_lattice: bool
-    linear: bool
-    unit_equals_top: bool
-    singleton_blocks: bool
-
-
-@dataclass(frozen=True)
 class QuotientResult:
-    source: FiniteILAlgebra
     filter_mask: int
     blocks: tuple[tuple[int, ...], ...]
     projection: tuple[int, ...]
     algebra: FiniteILAlgebra
-    verdicts: QuotientVerdicts
 
 
 @dataclass(frozen=True)
@@ -170,30 +159,11 @@ def quotient_algebra(alg: FiniteILAlgebra, subset: SubsetLike) -> QuotientResult
             "bottom block of the quotient is not the block of the source bottom"
         )
 
-    jn, mt = quotient.join_table, quotient.meet_table
-    rng = range(nblocks)
-    distributive = all(
-        jn[x][mt[y][z]] == mt[jn[x][y]][jn[x][z]]
-        for x in rng for y in rng for z in rng
-    )
-    linear = all(
-        quotient.leq_table[x][y] or quotient.leq_table[y][x]
-        for x in rng for y in rng
-    )
-    verdicts = QuotientVerdicts(
-        is_il_algebra=quotient.valid,
-        distributive_lattice=distributive,
-        linear=linear,
-        unit_equals_top=quotient.unit == quotient.top,
-        singleton_blocks=all(len(blk) == 1 for blk in blocks),
-    )
     return QuotientResult(
-        source=alg,
         filter_mask=mask,
         blocks=blocks,
         projection=tuple(projection),
         algebra=quotient,
-        verdicts=verdicts,
     )
 
 
@@ -215,18 +185,26 @@ def check_distributive_quotient(
 ) -> TheoremCheck:
     """Distributive filter implies distributive quotient lattice."""
     result = quotient_algebra(alg, subset)
+    q = result.algebra
+    jn, mt = q.join_table, q.meet_table
+    rng = range(q.n)
     return TheoremCheck(
         premise=is_distributive_filter(alg, result.filter_mask)[0],
-        conclusion=result.verdicts.distributive_lattice,
+        conclusion=all(
+            jn[x][mt[y][z]] == mt[jn[x][y]][jn[x][z]]
+            for x in rng for y in rng for z in rng
+        ),
     )
 
 
 def check_linear_quotient(alg: FiniteILAlgebra, subset: SubsetLike) -> TheoremCheck:
     """Prime filter implies totally ordered quotient."""
     result = quotient_algebra(alg, subset)
+    le = result.algebra.leq_table
+    rng = range(result.algebra.n)
     return TheoremCheck(
         premise=is_prime_filter(alg, result.filter_mask)[0],
-        conclusion=result.verdicts.linear,
+        conclusion=all(le[x][y] or le[y][x] for x in rng for y in rng),
     )
 
 
@@ -234,8 +212,9 @@ def check_affine_quotient(alg: FiniteILAlgebra, subset: SubsetLike) -> TheoremCh
     """Affine filter implies the quotient collapses top onto the unit and is
     integral, i.e. a residuated lattice."""
     result = quotient_algebra(alg, subset)
-    integral = check_integrality_equivalence(result.algebra)
+    q = result.algebra
+    integral = check_integrality_equivalence(q)
     return TheoremCheck(
         premise=is_affine_filter(alg, result.filter_mask),
-        conclusion=result.verdicts.unit_equals_top and integral,
+        conclusion=q.unit == q.top and integral,
     )

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 from .core import VerificationReport
 
-KINDS = ("VERDICT", "VIOLATION", "ERROR", "NOTE", "FILTER", "BLOCK", "TABLE")
-
 
 @dataclass(frozen=True)
 class ReportLine:

@@ -65,6 +65,7 @@ def parse_spec(text: str) -> AlgebraSpecDocument:
     order_pairs: list[tuple[str, str]] = []
     unit: str | None = None
     declared: dict[str, str | None] = {"bottom": None, "top": None}
+    names: set[str] = set()
     star_rows: dict[str, list[str]] = {}
     arrow_rows: dict[str, list[str]] = {}
 
@@ -72,9 +73,7 @@ def parse_spec(text: str) -> AlgebraSpecDocument:
         raise ParseError(line_no, col, msg)
 
     def known(line_no, col, tok):
-        if elements is None:
-            fail(line_no, col, "directive before 'elements'")
-        if tok not in elements:
+        if tok not in names:
             fail(line_no, col, f"unknown element name {tok!r}")
         return tok
 
@@ -97,14 +96,14 @@ def parse_spec(text: str) -> AlgebraSpecDocument:
                 fail(line_no, col0, "duplicate 'elements' line")
             if not rest:
                 fail(line_no, col0, "'elements' needs at least one name")
-            seen: list[str] = []
+            elements = []
             for col, tok in rest:
                 if not _valid_name(tok):
                     fail(line_no, col, f"bad element name {tok!r}")
-                if tok in seen:
+                if tok in names:
                     fail(line_no, col, f"duplicate element name {tok!r}")
-                seen.append(tok)
-            elements = seen
+                names.add(tok)
+                elements.append(tok)
         elif kw == "order":
             if len(rest) != 3 or rest[1][1] != "<=":
                 fail(line_no, col0, "expected: order <a> <= <b>")

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, report lines, machine format."""
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from helpers import algebra_of
@@ -158,6 +160,27 @@ def test_quotient_machine_tables(capsys):
     assert star[("[a]", "[a]")] == "[bot]"
     verdicts = {l.label: l.detail for l in doc.lines if l.kind == "VERDICT"}
     assert verdicts["affine-quotient"].endswith("pass")
+
+
+def test_thousand_element_file_is_refused_without_hanging(capsys, tmp_path):
+    # Parsing looks every table entry up by name; a 1000-element file has a
+    # million entries and must reach the carrier cap in linear time.
+    n = 1000
+    names = [f"e{i}" for i in range(n)]
+    lines = ["algebra big", "elements " + " ".join(names), "unit e0"]
+    for i, x in enumerate(names):
+        row = " ".join(names[(i + j) % n] for j in range(n))
+        lines.append(f"star {x} : {row}")
+    source = tmp_path / "big.alg"
+    source.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    code, out = run(capsys, "check", str(source))
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    [line] = out.splitlines()
+    assert line.split()[:2] == ["ERROR", "build"]
+    assert "at most 64" in line
+    assert elapsed < 5.0
 
 
 def test_derive_arrow_reproduces_fixture_table(capsys, tmp_path):

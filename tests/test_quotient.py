@@ -79,7 +79,7 @@ def test_blocks_match_pairwise_oracle(pair):
 def test_quotient_by_unit_upset_reproduces_source():
     alg = algebra_of("chain6lo")
     result = quotient_algebra(alg, mask_of(alg, ["1", "b", "c", "d", "top"]))
-    assert result.verdicts.singleton_blocks
+    assert len(result.blocks) == alg.n
     q = result.algebra
     assert q.n == alg.n
     assert q.leq_table == alg.leq_table
@@ -92,17 +92,18 @@ def test_quotient_by_carrier_is_one_element():
     alg = algebra_of("fork")
     result = quotient_algebra(alg, (1 << alg.n) - 1)
     assert result.algebra.n == 1
-    assert result.verdicts.unit_equals_top
+    assert result.algebra.unit == result.algebra.top
 
 
 def test_fork_quotient_by_unit_upset_passes_residuation():
     alg = algebra_of("fork")
-    result = quotient_algebra(alg, mask_of(alg, ["1", "top"]))
+    f1 = mask_of(alg, ["1", "top"])
+    result = quotient_algebra(alg, f1)
     assert check_residuation(result.algebra).ok
-    assert result.verdicts.singleton_blocks
+    assert len(result.blocks) == alg.n
     # the source lattice contains a diamond, so the quotient stays wide
-    assert not result.verdicts.distributive_lattice
-    assert not result.verdicts.linear
+    assert not check_distributive_quotient(alg, f1).conclusion
+    assert not check_linear_quotient(alg, f1).conclusion
 
 
 def test_affine_quotient_collapses_top_onto_unit():
@@ -111,7 +112,7 @@ def test_affine_quotient_collapses_top_onto_unit():
     assert [alg.names(blk) for blk in result.blocks] == [
         ("bot",), ("a",), ("b", "c", "1", "top"),
     ]
-    assert result.verdicts.unit_equals_top
+    assert result.algebra.unit == result.algebra.top
     check = check_affine_quotient(alg, mask_of(alg, ["b", "c", "1", "top"]))
     assert check.premise and check.conclusion and check.holds
 
@@ -123,8 +124,8 @@ def test_wide7_quotient_by_maximal_filter_is_distributive_diamond():
     assert [alg.names(blk) for blk in result.blocks] == [
         ("bot",), ("a", "b", "d", "1"), ("c",), ("top",),
     ]
-    assert result.verdicts.distributive_lattice
-    assert not result.verdicts.linear
+    assert check_distributive_quotient(alg, f4).conclusion
+    assert not check_linear_quotient(alg, f4).conclusion
     assert check_distributive_quotient(alg, f4).holds
 
 
@@ -171,17 +172,19 @@ def test_quotient_suite(pair):
     assert check_quotient_order(alg, mask)
 
     # theorem implications
-    assert check_distributive_quotient(alg, mask).holds
-    assert check_linear_quotient(alg, mask).holds
+    distributive = check_distributive_quotient(alg, mask)
+    linear = check_linear_quotient(alg, mask)
+    assert distributive.holds
+    assert linear.holds
     assert check_affine_quotient(alg, mask).holds
 
-    # verdicts agree with the oracle's representative-based computation
+    # conclusions agree with the oracle's representative-based computation
     members = [alg.carrier[i] for i in range(alg.n) if mask >> i & 1]
     ref = oracle.quotient_verdicts(model_of(name), members)
-    assert result.verdicts.distributive_lattice == ref["distributive"]
-    assert result.verdicts.linear == ref["linear"]
-    assert result.verdicts.unit_equals_top == ref["unit_equals_top"]
-    assert result.verdicts.singleton_blocks == ref["singleton_blocks"]
+    assert distributive.conclusion == ref["distributive"]
+    assert linear.conclusion == ref["linear"]
+    assert (q.unit == q.top) == ref["unit_equals_top"]
+    assert (len(result.blocks) == alg.n) == ref["singleton_blocks"]
     assert ref["order_matches_prop"]
     assert oracle.quotient_well_definedness_failure(model_of(name), members) is None
 
@@ -194,7 +197,7 @@ def test_unit_upset_quotient_has_singleton_blocks(name):
     check = is_filter(alg, upset)
     assert check.ok, "upset of the unit happens to be a filter on every fixture"
     result = quotient_algebra(alg, upset)
-    assert result.verdicts.singleton_blocks
+    assert len(result.blocks) == alg.n
 
 
 def test_theorem_checks_report_premise_and_conclusion():
@@ -268,18 +271,46 @@ def _product_mask(f, g, bn):
     return sum(1 << x * bn + y for x in f.members() for y in g.members())
 
 
+def _conclusions(alg, mask):
+    """Distributive, linear, unit == top and block count of one quotient."""
+    q = quotient_algebra(alg, mask).algebra
+    return (
+        check_distributive_quotient(alg, mask).conclusion,
+        check_linear_quotient(alg, mask).conclusion,
+        q.unit == q.top,
+        q.n,
+    )
+
+
 @pytest.mark.parametrize(
     "left,right", list(itertools.combinations_with_replacement(VALID_FIXTURES, 2))
 )
 def test_product_quotient_blocks_are_products_of_factor_blocks(left, right):
+    """A x B by F x G is A/F x B/G, so the theorem conclusions are known:
+    a product lattice is distributive iff both factors are, it is a chain
+    iff one factor is a chain and the other a single point, and its unit
+    is its top iff that holds in both factors."""
     a, b = algebra_of(left), algebra_of(right)
     ab = direct_product(a, b)
+    fa = {f.mask: _conclusions(a, f.mask) for f in enumerate_filters(a)}
+    fb = {g.mask: _conclusions(b, g.mask) for g in enumerate_filters(b)}
     for f, g in itertools.product(enumerate_filters(a), enumerate_filters(b)):
-        result = quotient_algebra(ab, _product_mask(f, g, b.n))
+        mask = _product_mask(f, g, b.n)
+        result = quotient_algebra(ab, mask)
         assert result.blocks == _product_blocks(
             congruence_classes(a, f.mask), congruence_classes(b, g.mask), b.n
         )
-        assert result.verdicts.is_il_algebra
+        assert result.algebra.valid
+        dist_a, lin_a, unit_top_a, na = fa[f.mask]
+        dist_b, lin_b, unit_top_b, nb = fb[g.mask]
+        q = result.algebra
+        assert check_distributive_quotient(ab, mask).conclusion == (
+            dist_a and dist_b
+        )
+        assert check_linear_quotient(ab, mask).conclusion == (
+            lin_a and nb == 1 or lin_b and na == 1
+        )
+        assert (q.unit == q.top) == (unit_top_a and unit_top_b)
 
 
 def test_boolean_power_quotient_by_product_filter():
@@ -291,4 +322,4 @@ def test_boolean_power_quotient_by_product_filter():
     assert result.blocks == _product_blocks(
         [(x,) for x in range(a.n)], [tuple(range(b.n))], b.n
     )
-    assert result.verdicts.is_il_algebra
+    assert result.algebra.valid
