@@ -29,7 +29,7 @@ from .quotient import (
     quotient_algebra,
 )
 from .report import ReportDocument
-from .specfile import document_of, parse_spec, render_spec
+from .specfile import _named_rows, _row_lines, document_of, parse_spec, render_spec
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -229,10 +229,6 @@ def _cmd_derive_arrow(doc, alg, report, out, args) -> int:
                         alg.carrier[alg.arrow_table[i][j]])
         _emit(out, True)
     else:
-        width = max(len(e) for e in alg.carrier)
-        for i in range(alg.n):
-            row = " ".join(
-                alg.carrier[v].ljust(width) for v in alg.arrow_table[i]
-            ).rstrip()
-            print(f"arrow {alg.carrier[i].ljust(width)} : {row}")
+        rows = _named_rows(alg, alg.arrow_table)
+        print("\n".join(_row_lines("arrow", alg.carrier, rows)))
     return EXIT_OK

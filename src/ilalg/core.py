@@ -328,7 +328,9 @@ def assemble_algebra(
 def build_algebra(
     doc: "AlgebraSpecDocument", mode: BuildMode = "strict"
 ) -> tuple[FiniteILAlgebra, VerificationReport]:
-    """Assemble an algebra from a parsed description document."""
+    """Assemble an algebra from a parsed description document. Every name
+    goes through one resolver, and the first bad one is reported, in the
+    order: order pairs, star rows, arrow rows, unit, bottom, top."""
     names = list(doc.elements)
     if not names:
         raise BuildError("document has no elements")
@@ -339,56 +341,41 @@ def build_algebra(
             raise BuildError(f"unknown element name {name!r} in {what}")
         return index[name]
 
+    def table(what, rows):
+        for e in names:
+            if e not in rows:
+                raise BuildError(f"missing {what} row for {e!r}")
+        for e in rows:
+            resolve(e, f"{what} rows")
+        out = []
+        for e in names:
+            row = rows[e]
+            if len(row) != len(names):
+                raise BuildError(
+                    f"{what} row for {e!r} has {len(row)} entries, "
+                    f"expected {len(names)}"
+                )
+            out.append([resolve(v, f"{what} row") for v in row])
+        return out
+
+    def declared(name, what):
+        return None if name is None else resolve(name, what)
+
     pairs = [
         (resolve(a, "order"), resolve(b, "order")) for a, b in doc.order_pairs
     ]
-    star = _rows_to_table("star", doc.star_rows, names, index)
-    arrow = (
-        _rows_to_table("arrow", doc.arrow_rows, names, index)
-        if doc.arrow_rows is not None
-        else None
-    )
+    star = table("star", doc.star_rows)
+    arrow = None if doc.arrow_rows is None else table("arrow", doc.arrow_rows)
     return assemble_algebra(
         names,
         pairs,
         star,
         unit=resolve(doc.unit, "unit"),
         arrow=arrow,
-        declared_bottom=(
-            resolve(doc.declared_bottom, "bottom")
-            if doc.declared_bottom is not None
-            else None
-        ),
-        declared_top=(
-            resolve(doc.declared_top, "top")
-            if doc.declared_top is not None
-            else None
-        ),
+        declared_bottom=declared(doc.declared_bottom, "bottom"),
+        declared_top=declared(doc.declared_top, "top"),
         mode=mode,
     )
-
-
-def _rows_to_table(what, rows, names, index):
-    n = len(names)
-    missing = [e for e in names if e not in rows]
-    if missing:
-        raise BuildError(f"missing {what} row for {missing[0]!r}")
-    extra = [e for e in rows if e not in index]
-    if extra:
-        raise BuildError(f"unknown element name {extra[0]!r} in {what} rows")
-    table = []
-    for e in names:
-        row = rows[e]
-        if len(row) != n:
-            raise BuildError(
-                f"{what} row for {e!r} has {len(row)} entries, expected {n}"
-            )
-        table.append([index[v] if v in index else _bad_name(what, v) for v in row])
-    return table
-
-
-def _bad_name(what, v):
-    raise BuildError(f"unknown element name {v!r} in {what} row")
 
 
 def _check_table(what, table, n):
@@ -583,14 +570,7 @@ def check_identities(alg: FiniteILAlgebra) -> VerificationReport:
                             nm[want], nm[got],
                         )
                     )
-    for x in range(n):
-        if not le[x][alg.top]:
-            out.append(
-                Violation(
-                    "top-greatest", (nm[x],),
-                    f"{nm[x]} <= {nm[alg.top]}", "fails",
-                )
-            )
+    out += _check_top(alg, None).violations
     for x in range(n):
         for y in range(n):
             if le[x][u] and le[y][u] and not le[st[x][y]][mt[x][y]]:

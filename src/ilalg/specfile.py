@@ -60,11 +60,12 @@ def _valid_name(tok: str) -> bool:
 def parse_spec(text: str) -> AlgebraSpecDocument:
     """Parse an .alg document, raising positioned ParseError on any defect."""
     lines = text.splitlines()
-    name: str | None = None
     elements: list[str] | None = None
     order_pairs: list[tuple[str, str]] = []
-    unit: str | None = None
-    declared: dict[str, str | None] = {"bottom": None, "top": None}
+    # Directives that take exactly one name and appear at most once.
+    single: dict[str, str | None] = dict.fromkeys(
+        ("algebra", "unit", "bottom", "top")
+    )
     names: set[str] = set()
     star_rows: dict[str, list[str]] = {}
     arrow_rows: dict[str, list[str]] = {}
@@ -85,12 +86,13 @@ def parse_spec(text: str) -> AlgebraSpecDocument:
         rest = toks[1:]
         if kw in ("order", "unit", "bottom", "top", "star", "arrow") and elements is None:
             fail(line_no, col0, "directive before 'elements'")
-        if kw == "algebra":
-            if name is not None:
-                fail(line_no, col0, "duplicate 'algebra' line")
+        if kw in single:
+            if single[kw] is not None:
+                fail(line_no, col0, f"duplicate '{kw}' line")
             if len(rest) != 1:
-                fail(line_no, col0, "'algebra' takes exactly one name")
-            name = rest[0][1]
+                fail(line_no, col0, f"'{kw}' takes exactly one name")
+            col, tok = rest[0]
+            single[kw] = tok if kw == "algebra" else known(line_no, col, tok)
         elif kw == "elements":
             if elements is not None:
                 fail(line_no, col0, "duplicate 'elements' line")
@@ -110,18 +112,6 @@ def parse_spec(text: str) -> AlgebraSpecDocument:
             a = known(line_no, rest[0][0], rest[0][1])
             b = known(line_no, rest[2][0], rest[2][1])
             order_pairs.append((a, b))
-        elif kw == "unit":
-            if unit is not None:
-                fail(line_no, col0, "duplicate 'unit' line")
-            if len(rest) != 1:
-                fail(line_no, col0, "'unit' takes exactly one name")
-            unit = known(line_no, rest[0][0], rest[0][1])
-        elif kw in ("bottom", "top"):
-            if declared[kw] is not None:
-                fail(line_no, col0, f"duplicate '{kw}' line")
-            if len(rest) != 1:
-                fail(line_no, col0, f"'{kw}' takes exactly one name")
-            declared[kw] = known(line_no, rest[0][0], rest[0][1])
         elif kw in ("star", "arrow"):
             rows = star_rows if kw == "star" else arrow_rows
             if len(rest) < 2 or rest[1][1] != ":":
@@ -144,10 +134,9 @@ def parse_spec(text: str) -> AlgebraSpecDocument:
     end = max(len(lines), 1)
     if elements is None:
         raise ParseError(end, 1, "missing 'elements'")
-    if name is None:
-        raise ParseError(end, 1, "missing 'algebra'")
-    if unit is None:
-        raise ParseError(end, 1, "missing 'unit'")
+    for kw in ("algebra", "unit"):
+        if single[kw] is None:
+            raise ParseError(end, 1, f"missing '{kw}'")
     for e in elements:
         if e not in star_rows:
             raise ParseError(end, 1, f"missing star row for {e!r}")
@@ -156,20 +145,19 @@ def parse_spec(text: str) -> AlgebraSpecDocument:
             if e not in arrow_rows:
                 raise ParseError(end, 1, f"missing arrow row for {e!r}")
     return AlgebraSpecDocument(
-        name=name,
+        name=single["algebra"],
         elements=elements,
         order_pairs=order_pairs,
-        unit=unit,
+        unit=single["unit"],
         star_rows=star_rows,
         arrow_rows=arrow_rows or None,
-        declared_bottom=declared["bottom"],
-        declared_top=declared["top"],
+        declared_bottom=single["bottom"],
+        declared_top=single["top"],
     )
 
 
 def render_spec(doc: AlgebraSpecDocument) -> str:
     """Canonical text for a document; parse(render(doc)) == doc."""
-    width = max(len(e) for e in doc.elements)
     lines = [f"algebra {doc.name}", "elements " + " ".join(doc.elements)]
     for a, b in doc.order_pairs:
         lines.append(f"order {a} <= {b}")
@@ -178,12 +166,21 @@ def render_spec(doc: AlgebraSpecDocument) -> str:
         lines.append(f"bottom {doc.declared_bottom}")
     if doc.declared_top is not None:
         lines.append(f"top {doc.declared_top}")
-    for kw, rows in (("star", doc.star_rows), ("arrow", doc.arrow_rows or {})):
-        for e in doc.elements:
-            if e in rows:
-                row = " ".join(v.ljust(width) for v in rows[e]).rstrip()
-                lines.append(f"{kw} {e.ljust(width)} : {row}")
+    lines += _row_lines("star", doc.elements, doc.star_rows)
+    lines += _row_lines("arrow", doc.elements, doc.arrow_rows or {})
     return "\n".join(lines) + "\n"
+
+
+def _row_lines(kw: str, elements, rows: dict[str, list[str]]) -> list[str]:
+    """The `kw <row> : <entries>` lines for the rows present, in `elements`
+    order, each name padded to the longest element name."""
+    width = max(len(e) for e in elements)
+    return [
+        f"{kw} {e.ljust(width)} : "
+        + " ".join(v.ljust(width) for v in rows[e]).rstrip()
+        for e in elements
+        if e in rows
+    ]
 
 
 def document_of(alg: "FiniteILAlgebra", name: str) -> AlgebraSpecDocument:
@@ -203,12 +200,12 @@ def document_of(alg: "FiniteILAlgebra", name: str) -> AlgebraSpecDocument:
         elements=list(alg.carrier),
         order_pairs=covers,
         unit=alg.carrier[alg.unit],
-        star_rows={
-            alg.carrier[i]: [alg.carrier[v] for v in alg.star_table[i]]
-            for i in range(n)
-        },
-        arrow_rows={
-            alg.carrier[i]: [alg.carrier[v] for v in alg.arrow_table[i]]
-            for i in range(n)
-        },
+        star_rows=_named_rows(alg, alg.star_table),
+        arrow_rows=_named_rows(alg, alg.arrow_table),
     )
+
+
+def _named_rows(alg: "FiniteILAlgebra", table) -> dict[str, list[str]]:
+    """An index table of `alg` as rows of names keyed by row name."""
+    nm = alg.carrier
+    return {nm[i]: [nm[v] for v in row] for i, row in enumerate(table)}

@@ -1,4 +1,4 @@
-"""Shared fixture-loading helpers for the test suite."""
+"""Shared fixture-loading helpers and known-answer generators for the tests."""
 from __future__ import annotations
 
 from functools import lru_cache
@@ -80,3 +80,71 @@ def bool2_power(k):
     for _ in range(k - 1):
         alg = direct_product(alg, algebra_of("bool2"))
     return alg
+
+
+def oracle_model(carrier, order, star, unit, arrow=None):
+    """Oracle model of raw index-based inputs, as `assemble_algebra` takes them."""
+    nm = list(carrier)
+
+    def rows(table):
+        return {nm[x]: [nm[v] for v in table[x]] for x in range(len(nm))}
+
+    return oracle.Model(
+        nm, [(nm[x], nm[y]) for x, y in order], rows(star), nm[unit],
+        None if arrow is None else rows(arrow),
+    )
+
+
+def _chain(names, star, unit):
+    """The chain names[0] < names[1] < ... with x*y = star(x, y) on indices,
+    strictly built; the residual is derived."""
+    n = len(names)
+    alg, _ = assemble_algebra(
+        names,
+        [(i, i + 1) for i in range(n - 1)],
+        [[star(x, y) for y in range(n)] for x in range(n)],
+        unit=unit,
+    )
+    return alg
+
+
+@lru_cache(maxsize=None)
+def sugihara_chain(k):
+    """The odd Sugihara chain S_(2k+1) on -k < ... < k, named "-k" .. "k".
+
+    x*y is the factor of larger absolute value, the smaller one on a tie.
+    The unit 0 is not top, so the chain is idempotent but not integral. Its
+    filters are the upsets of e <= 0; all are prime, implicative and
+    distributive, only the upset of -k+1 is maximal and only the carrier is
+    affine.
+    """
+    def star(x, y):
+        if abs(x - k) == abs(y - k):
+            return min(x, y)
+        return x if abs(x - k) > abs(y - k) else y
+
+    return _chain([str(i) for i in range(-k, k + 1)], star, unit=k)
+
+
+@lru_cache(maxsize=None)
+def godel_chain(n):
+    """The Gödel chain G_n on g0 < ... < g(n-1) with x*y = min(x, y).
+
+    It is integral and idempotent, every upset is a filter, and every
+    classification flag holds except maximality, which only the upset of g1
+    has.
+    """
+    return _chain([f"g{i}" for i in range(n)], min, unit=n - 1)
+
+
+@lru_cache(maxsize=None)
+def lukasiewicz_chain(n):
+    """The Łukasiewicz chain Ł_n on l0 < ... < l(n-1) with
+    x*y = max(0, x + y - (n-1)).
+
+    For n >= 3 its only filters are {top} and the carrier; {top} is maximal
+    and not implicative.
+    """
+    return _chain(
+        [f"l{i}" for i in range(n)], lambda x, y: max(0, x + y - (n - 1)), unit=n - 1
+    )

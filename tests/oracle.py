@@ -138,7 +138,7 @@ def law_failures(m):
 
 
 def identity_failures(m):
-    """Violations of the ten derived identities, keyed by law name."""
+    """Violations of the eleven derived identities, keyed by law name."""
     out = {}
 
     def record(law, witness):

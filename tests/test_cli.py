@@ -5,11 +5,11 @@ import time
 
 import pytest
 
-from helpers import algebra_of
+from helpers import VALID_FIXTURES, algebra_of, direct_product
 from ilalg.cli import main
 from ilalg.fixtures import fixture_path
 from ilalg.report import ReportLine, parse_machine
-from ilalg import parse_spec
+from ilalg import document_of, parse_spec, render_spec
 
 
 def fx(name):
@@ -201,6 +201,25 @@ def test_derive_arrow_reproduces_fixture_table(capsys, tmp_path):
     assert derived == original.arrow_rows
 
 
+@pytest.mark.parametrize("name", VALID_FIXTURES + ["bool2*chain6hi-corrected"])
+def test_derive_arrow_prints_render_spec_arrow_lines(capsys, tmp_path, name):
+    # derive-arrow promises rows that paste into an .alg file unchanged
+    if name in VALID_FIXTURES:
+        alg, source = algebra_of(name), fx(name)
+    else:
+        alg = direct_product(*(algebra_of(factor) for factor in name.split("*")))
+        source = tmp_path / "product.alg"
+        source.write_text(render_spec(document_of(alg, "product")))
+    code, out = run(capsys, "derive-arrow", str(source))
+    assert code == 0
+    text = render_spec(document_of(alg, name))
+    arrows = [
+        line for line in text.splitlines(keepends=True) if line.startswith("arrow ")
+    ]
+    assert len(arrows) == alg.n
+    assert out == "".join(arrows)
+
+
 def test_derive_arrow_one_element(capsys):
     code, out = run(capsys, "derive-arrow", fx("point"))
     assert code == 0
@@ -212,8 +231,6 @@ def test_derive_arrow_not_residuated_mutation(capsys, tmp_path):
     doc = parse_spec(fixture_path("chain6lo").read_text(encoding="utf-8"))
     doc.star_rows["b"][0] = "top"  # b*bot := top empties a solution set
     doc.arrow_rows = None
-    from ilalg import render_spec
-
     source = tmp_path / "mutated.alg"
     source.write_text(render_spec(doc))
     code, out = run(capsys, "derive-arrow", str(source), "--machine")

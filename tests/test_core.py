@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -16,10 +17,15 @@ from helpers import (
     built,
     direct_product,
     doc_of,
+    godel_chain,
+    lukasiewicz_chain,
     model_of,
+    oracle_model,
     report_of,
+    sugihara_chain,
 )
 from ilalg import (
+    AlgebraSpecDocument,
     BuildError,
     FiniteILAlgebra,
     LawViolationError,
@@ -36,8 +42,10 @@ from ilalg import (
 )
 from ilalg.fixtures import expectations
 
-# Small products (n <= 12) of valid fixtures, each with one seeded cell of
-# one table changed: lenient inputs whose violations the oracle can sweep.
+# Small products (n <= 12) of valid fixtures and short generated chains,
+# each with one seeded cell of one table changed: lenient inputs whose
+# violations the oracle can sweep. A chain's "top" case changes bot->bot,
+# which moves top itself, so `top-greatest` fails.
 MUTATED_PRODUCTS = [
     f"{a}*{b}/{table}"
     for a, b in itertools.combinations_with_replacement(VALID_FIXTURES, 2)
@@ -45,40 +53,60 @@ MUTATED_PRODUCTS = [
     and algebra_of(a).n * algebra_of(b).n <= 12
     for table in ("star", "arrow")
 ]
-WITNESS_CASES = ALL_FIXTURES + MUTATED_PRODUCTS
+MUTATED_CHAINS = {
+    "S7": sugihara_chain(3), "G8": godel_chain(8), "L8": lukasiewicz_chain(8)
+}
+WITNESS_CASES = (
+    ALL_FIXTURES
+    + MUTATED_PRODUCTS
+    + [
+        f"{chain}/{table}"
+        for chain in MUTATED_CHAINS
+        for table in ("star", "arrow", "top")
+    ]
+)
 
 
 @lru_cache(maxsize=None)
-def lenient_case(case):
-    """(algebra, build report, oracle model) for a fixture or a mutated product."""
-    if case in ALL_FIXTURES:
-        return algebra_of(case), report_of(case), model_of(case)
-    factors, table = case.split("/")
-    a, b = factors.split("*")
-    p = direct_product(algebra_of(a), algebra_of(b))
+def mutated_inputs(case):
+    """`assemble_algebra` inputs (carrier, order, star, unit, arrow) of a
+    mutated product or chain."""
+    source, table = case.split("/")
+    if source in MUTATED_CHAINS:
+        p = MUTATED_CHAINS[source]
+    else:
+        a, b = source.split("*")
+        p = direct_product(algebra_of(a), algebra_of(b))
     tables = {
         "star": [list(row) for row in p.star_table],
         "arrow": [list(row) for row in p.arrow_table],
     }
     rng = random.Random(case)
-    i, j = rng.randrange(p.n), rng.randrange(p.n)
+    if table == "top":
+        table, i, j = "arrow", p.bottom, p.bottom
+    else:
+        i, j = rng.randrange(p.n), rng.randrange(p.n)
     old = tables[table][i][j]
     tables[table][i][j] = rng.choice([v for v in range(p.n) if v != old])
     order = [(x, y) for x in range(p.n) for y in range(p.n) if p.leq_table[x][y]]
-    alg, report = assemble_algebra(
-        p.carrier, order, tables["star"], unit=p.unit, arrow=tables["arrow"],
-        mode="lenient",
-    )
-    nm = p.carrier
+    return p.carrier, order, tables["star"], p.unit, tables["arrow"]
 
-    def rows(t):
-        return {nm[x]: [nm[v] for v in t[x]] for x in range(p.n)}
 
-    model = oracle.Model(
-        nm, [(nm[x], nm[y]) for x, y in order], rows(tables["star"]),
-        nm[p.unit], rows(tables["arrow"]),
-    )
-    return alg, report, model
+def build_case(case, mode):
+    """Build a fixture or a mutated case in the given mode."""
+    if case in ALL_FIXTURES:
+        return build_algebra(doc_of(case), mode=mode)
+    carrier, order, star, unit, arrow = mutated_inputs(case)
+    return assemble_algebra(carrier, order, star, unit=unit, arrow=arrow, mode=mode)
+
+
+@lru_cache(maxsize=None)
+def lenient_case(case):
+    """(algebra, build report, oracle model) for a fixture or a mutated case."""
+    if case in ALL_FIXTURES:
+        return algebra_of(case), report_of(case), model_of(case)
+    alg, report = build_case(case, "lenient")
+    return alg, report, oracle_model(*mutated_inputs(case))
 
 
 def in_order(by_law):
@@ -117,6 +145,18 @@ def test_lenient_build_report_matches_sidecar(name):
 def test_law_witnesses_equal_oracle(case):
     _, report, model = lenient_case(case)
     assert in_order(report.by_law()) == in_order(oracle.law_failures(model))
+
+
+@pytest.mark.parametrize("case", WITNESS_CASES)
+def test_strict_build_raises_exactly_when_lenient_report_is_not_empty(case):
+    _, report, _ = lenient_case(case)
+    if report.ok:
+        alg, strict = build_case(case, "strict")
+        assert alg.valid and strict.ok
+    else:
+        with pytest.raises(LawViolationError) as err:
+            build_case(case, "strict")
+        assert err.value.report == report
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -339,8 +379,6 @@ def test_carrier_size_cap():
 
 
 def test_full_relation_input_equals_hasse_input():
-    from dataclasses import replace
-
     doc = doc_of("chain6lo")
     alg = algebra_of("chain6lo")
     full_pairs = [
@@ -357,8 +395,6 @@ def test_full_relation_input_equals_hasse_input():
 
 
 def test_declared_top_and_bottom_crosschecks():
-    from dataclasses import replace
-
     doc = doc_of("chain6lo")
     good, report = build_algebra(
         replace(doc, declared_bottom="bot", declared_top="top")
@@ -390,3 +426,72 @@ def test_build_errors_on_malformed_structure():
     # dimension mismatch
     with pytest.raises(BuildError, match="entries"):
         assemble_algebra(["x", "y"], [(0, 1)], [[0], [0, 1]], unit=1)
+
+
+TWO = AlgebraSpecDocument(
+    name="two",
+    elements=["lo", "hi"],
+    order_pairs=[("lo", "hi")],
+    unit="hi",
+    star_rows={"lo": ["lo", "lo"], "hi": ["lo", "hi"]},
+    arrow_rows={"lo": ["hi", "hi"], "hi": ["lo", "hi"]},
+)
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"order_pairs": [("lo", "zz")]}, "unknown element name 'zz' in order"),
+        ({"unit": "zz"}, "unknown element name 'zz' in unit"),
+        ({"declared_bottom": "zz"}, "unknown element name 'zz' in bottom"),
+        ({"declared_top": "zz"}, "unknown element name 'zz' in top"),
+        ({"star_rows": {"lo": ["lo", "lo"]}}, "missing star row for 'hi'"),
+        (
+            {"star_rows": {**TWO.star_rows, "zz": ["lo", "lo"]}},
+            "unknown element name 'zz' in star rows",
+        ),
+        (
+            {"star_rows": {"lo": ["lo", "zz"], "hi": ["lo", "hi"]}},
+            "unknown element name 'zz' in star row",
+        ),
+        (
+            {"star_rows": {"lo": ["lo"], "hi": ["lo", "hi"]}},
+            "star row for 'lo' has 1 entries, expected 2",
+        ),
+        # precedence: order, star rows, arrow rows, then unit, bottom, top
+        (
+            {"order_pairs": [("zz", "hi")], "star_rows": {"lo": ["lo", "lo"]}},
+            "unknown element name 'zz' in order",
+        ),
+        (
+            {"arrow_rows": {"lo": ["hi", "zz"], "hi": ["lo", "hi"]}, "unit": "yy"},
+            "unknown element name 'zz' in arrow row",
+        ),
+        (
+            {"unit": "zz", "declared_bottom": "yy", "declared_top": "xx"},
+            "unknown element name 'zz' in unit",
+        ),
+        # within a table: missing row, unknown row name, then row by row
+        (
+            {"star_rows": {"lo": ["lo", "lo"], "zz": ["lo", "lo"]}},
+            "missing star row for 'hi'",
+        ),
+        (
+            {"star_rows": {"lo": ["lo", "zz"], "hi": ["lo"], "zz": []}},
+            "unknown element name 'zz' in star rows",
+        ),
+        (
+            {"star_rows": {"lo": ["lo", "zz"], "hi": ["lo"]}},
+            "unknown element name 'zz' in star row",
+        ),
+    ],
+)
+def test_build_algebra_document_errors(changes, message):
+    with pytest.raises(BuildError) as err:
+        build_algebra(replace(TWO, **changes))
+    assert str(err.value) == message
+
+
+def test_two_element_document_builds():
+    alg, report = build_algebra(TWO)
+    assert report.ok and alg.carrier == ("lo", "hi")

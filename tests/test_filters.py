@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import asdict
 
 import pytest
 
@@ -11,12 +12,17 @@ from helpers import (
     algebra_of,
     bool2_power,
     direct_product,
+    godel_chain,
+    lukasiewicz_chain,
     mask_of,
     model_of,
+    oracle_model,
+    sugihara_chain,
     upset_of_unit,
 )
 from ilalg import (
     BuildError,
+    FilterFlags,
     NotAFilterError,
     check_idempotent_implies_implicative,
     classify_all,
@@ -322,3 +328,61 @@ def test_boolean_power_maximal_filters_are_atom_upsets():
     assert len(atoms) == 6
     maximal = {f.mask for f in enumerate_filters(alg) if is_maximal_filter(alg, f.mask)}
     assert maximal == {upset_mask(alg, a) for a in atoms}
+
+
+def chain_answers(kind, n):
+    """A generated chain of n elements with its known filters and flags: a
+    list of (least element index, flags) in enumeration order."""
+    yes = dict.fromkeys(("distributive", "prime", "implicative", "affine"), True)
+    if kind == "sugihara":
+        k = n // 2
+        # the upsets of -k+j for j = k..0, smallest first; index j is -k+j
+        return sugihara_chain(k), [
+            (j, {**yes, "maximal": j == 1, "affine": j == 0})
+            for j in range(k, -1, -1)
+        ]
+    if kind == "godel":
+        return godel_chain(n), [
+            (j, {**yes, "maximal": j == 1}) for j in range(n - 1, -1, -1)
+        ]
+    return lukasiewicz_chain(n), [
+        (n - 1, {**yes, "maximal": True, "implicative": False}),
+        (0, {**yes, "maximal": False}),
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind,n", [("sugihara", 63), ("godel", 64), ("lukasiewicz", 64)]
+)
+def test_long_chain_filters_and_maximality_are_known(kind, n):
+    alg, answers = chain_answers(kind, n)
+    assert alg.n == n and alg.valid
+    found = enumerate_filters(alg)
+    assert [f.mask for f in found] == [upset_mask(alg, e) for e, _ in answers]
+    assert [is_maximal_filter(alg, f.mask) for f in found] == [
+        flags["maximal"] for _, flags in answers
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [(kind, n) for kind in ("sugihara", "godel", "lukasiewicz") for n in (3, 7, 9, 15)]
+    + [("godel", 16), ("lukasiewicz", 16)],
+)
+def test_chain_classification_is_known(kind, n):
+    alg, answers = chain_answers(kind, n)
+    rows = classify_all(alg)
+    assert [row.mask for row in rows] == [upset_mask(alg, e) for e, _ in answers]
+    for row, (_, flags) in zip(rows, answers):
+        assert row.flags == FilterFlags(**flags)
+
+
+@pytest.mark.parametrize("kind", ["sugihara", "godel", "lukasiewicz"])
+def test_chain_classification_matches_oracle(kind):
+    alg, _ = chain_answers(kind, 7)
+    order = [(i, i + 1) for i in range(alg.n - 1)]
+    model = oracle_model(alg.carrier, order, alg.star_table, alg.unit)
+    rows = classify_all(alg)
+    assert [list(row.member_names()) for row in rows] == oracle.sweep_filters(model)
+    for row in rows:
+        assert asdict(row.flags) == oracle.classify(model, list(row.member_names()))

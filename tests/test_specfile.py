@@ -129,3 +129,15 @@ def test_unicode_and_odd_names_are_fine():
     alg, report = build_algebra(doc)
     assert report.ok
     assert alg.carrier == ("⊥", "⊤")
+
+
+def test_render_pads_table_columns_to_the_longest_name():
+    text = MINIMAL.replace("hi", "high")
+    assert render_spec(parse_spec(text)) == (
+        "algebra two\n"
+        "elements lo high\n"
+        "order lo <= high\n"
+        "unit high\n"
+        "star lo   : lo   lo\n"
+        "star high : lo   high\n"
+    )
