@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Commands: check, filters, quotient, derive-arrow. Exit codes: 0 all pass,
-1 violations or failed preconditions, 2 parse error, 3 usage error.
+1 violations or failed preconditions, 2 parse error, 3 usage error or a
+stdout closed before the report was written.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -42,6 +44,7 @@ _FLAG_NAMES = ("distributive", "prime", "maximal", "implicative", "affine")
 _NEEDS_VALID = {
     "filters": "filter enumeration needs a law-valid algebra",
     "quotient": "quotient construction needs a law-valid algebra",
+    "derive-arrow": "residual derivation needs a law-valid algebra",
 }
 
 
@@ -78,6 +81,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`ilalg check FILE | head`). Point the
+        # descriptor at devnull, so the flush at exit has somewhere to go.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    return code
+
+
+def _main(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

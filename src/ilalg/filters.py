@@ -21,6 +21,23 @@ a >= a^2 >= a^4 >= ... descend through subunits to a fixpoint f = f*f <= a;
 an idempotent e' <= b gives e' = e'*e' <= b*b, so every idempotent e' <= a
 stays below each term, hence below f.
 
+Residuation turns membership in ^e into an inequality on e:
+x->y in ^e iff e <= x->y iff e*x <= y. On a law-valid algebra this gives
+two of the classes their e-forms:
+- ^e is implicative iff every u = e*x satisfies u <= u*u. The rule "from
+  x->(y->z) and x->y conclude x->z" reads "u*y <= z and u <= y imply
+  u <= z". (=>) Take y = u and z = u*u. (<=) u <= u*u <= u*y <= z, by
+  monotonicity of *. Corollary: on an idempotent algebra u*u = u, so every
+  filter is implicative.
+- ^e is distributive iff e*a <= b for every pair (a, b) =
+  ((x join y) meet (x join z), x join (y meet z)) with a != b, since
+  a->b in ^e iff e*a <= b; when a = b, e*a <= a holds as e <= 1. The pairs
+  depend only on the lattice, and there are none on a distributive one.
+The two predicates use these forms only on law-valid algebras and subsets
+that are exactly ^e for an idempotent subunit e. Any other subset, and
+every "no", goes to the exhaustive sweep over triples, so each verdict and
+each lexicographically first witness is the sweep's.
+
 Subsets are bitmasks over carrier indices; enumeration output is sorted by
 ascending mask so reports are diffable.
 """
@@ -28,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import FiniteILAlgebra, is_idempotent, require_valid
 from .errors import AlgebraError, NotAFilterError
@@ -140,9 +157,25 @@ def _meet_of(alg: FiniteILAlgebra, mask: int) -> int:
     return reduce(lambda x, y: alg.meet_table[x][y], members)
 
 
+def _upset(alg: FiniteILAlgebra, e: int) -> int:
+    """Mask of the upset of e."""
+    return sum(1 << j for j in range(alg.n) if alg.leq_table[e][j])
+
+
+def _least_idempotent_subunit(alg: FiniteILAlgebra, mask: int) -> int | None:
+    """e when the algebra is law-valid and the subset is exactly ^e for an
+    idempotent subunit e, the case where the e-forms apply; else None."""
+    if not alg.valid or not mask:
+        return None
+    e = _meet_of(alg, mask)
+    if alg.leq_table[e][alg.unit] and alg.star_table[e][e] == e and mask == _upset(alg, e):
+        return e
+    return None
+
+
 def _principal_filter(alg: FiniteILAlgebra, e: int) -> int:
     """Mask of the upset of e, re-checked to be a filter."""
-    mask = sum(1 << j for j in range(alg.n) if alg.leq_table[e][j])
+    mask = _upset(alg, e)
     check = is_filter(alg, mask)
     if not check.ok:
         raise AlgebraError(f"upset of {alg.carrier[e]} is not a filter: "
@@ -170,12 +203,57 @@ def enumerate_filters(alg: FiniteILAlgebra) -> list[FilterSubset]:
     return [FilterSubset(alg, mask) for mask in masks]
 
 
+def _distributivity_defects(alg: FiniteILAlgebra) -> Iterator[tuple[int, int]]:
+    """Yield the pair (a, b) = ((x join y) meet (x join z), x join (y meet z))
+    of every triple with a != b; none exist on a distributive lattice.
+
+    Only triples with y and z incomparable and neither below x can have
+    a != b: if y <= z then y meet z = y and x join y <= x join z, so
+    a = x join y = b; if y <= x then x join y = x, so a = x meet (x join z)
+    = x = b. Both sides are symmetric in y and z, so z runs above y only.
+    """
+    n, le, jn, mt = alg.n, alg.leq_table, alg.join_table, alg.meet_table
+    above = [[z for z in range(y + 1, n) if not (le[y][z] or le[z][y])] for y in range(n)]
+    for x in range(n):
+        jx, below_x = jn[x], [row[x] for row in le]
+        for y in range(n):
+            if below_x[y]:
+                continue
+            mjy, my = mt[jx[y]], mt[y]
+            for z in above[y]:
+                if not below_x[z]:
+                    a, b = mjy[jx[z]], jx[my[z]]
+                    if a != b:
+                        yield a, b
+
+
 def is_distributive_filter(
     alg: FiniteILAlgebra, subset: FilterSubset | int | Iterable[int]
 ) -> tuple[bool, tuple[int, int, int] | None]:
     """((x join y) meet (x join z)) -> (x join (y meet z)) must land in the
     subset for every triple."""
-    mask = subset_mask(alg, subset)
+    return _distributive_filter(alg, subset_mask(alg, subset), _distributivity_defects(alg))
+
+
+def _distributive_filter(
+    alg: FiniteILAlgebra, mask: int, defects: Iterable[tuple[int, int]]
+) -> tuple[bool, tuple[int, int, int] | None]:
+    """`is_distributive_filter` on a mask, through the e-form when it
+    applies. `defects` yields the algebra's `_distributivity_defects`: a
+    lazy generator stops at the first failing pair, a shared set serves
+    many filters."""
+    e = _least_idempotent_subunit(alg, mask)
+    if e is not None:
+        le, row = alg.leq_table, alg.star_table[e]
+        if all(le[row[a]][b] for a, b in defects):
+            return True, None
+    return _distributive_sweep(alg, mask)
+
+
+def _distributive_sweep(
+    alg: FiniteILAlgebra, mask: int
+) -> tuple[bool, tuple[int, int, int] | None]:
+    """The distributive-filter definition, exhaustive over all triples."""
     jn, mt, ar = alg.join_table, alg.meet_table, alg.arrow_table
     for x in range(alg.n):
         for y in range(alg.n):
@@ -203,8 +281,20 @@ def is_implicative_filter(
     alg: FiniteILAlgebra, subset: FilterSubset | int | Iterable[int]
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Contains the unit and is closed under the rule: from x->(y->z) and
-    x->y conclude x->z. Exhaustive over all triples."""
+    x->y conclude x->z. Decided by the e-form when it applies."""
     mask = subset_mask(alg, subset)
+    e = _least_idempotent_subunit(alg, mask)
+    if e is not None:
+        le, st = alg.leq_table, alg.star_table
+        if all(le[u][st[u][u]] for u in set(st[e])):
+            return True, None
+    return _implicative_sweep(alg, mask)
+
+
+def _implicative_sweep(
+    alg: FiniteILAlgebra, mask: int
+) -> tuple[bool, tuple[int, ...] | None]:
+    """The implicative-filter definition, exhaustive over all triples."""
     if not mask >> alg.unit & 1:
         return False, (alg.unit,)
     ar = alg.arrow_table
@@ -259,9 +349,14 @@ def classify_filter(
     The four table-read predicates work on any built algebra; maximality
     needs the filter lattice and is None on lenient-built ones.
     """
-    mask = subset_mask(alg, subset)
+    return _classify(alg, subset_mask(alg, subset), _distributivity_defects(alg))
+
+
+def _classify(
+    alg: FiniteILAlgebra, mask: int, defects: Iterable[tuple[int, int]]
+) -> FilterFlags:
     return FilterFlags(
-        distributive=is_distributive_filter(alg, mask)[0],
+        distributive=_distributive_filter(alg, mask, defects)[0],
         prime=is_prime_filter(alg, mask)[0],
         maximal=is_maximal_filter(alg, mask) if alg.valid else None,
         implicative=is_implicative_filter(alg, mask)[0],
@@ -270,11 +365,11 @@ def classify_filter(
 
 
 def classify_all(alg: FiniteILAlgebra) -> list[FilterSubset]:
-    """Every filter with its flags attached, in enumeration order."""
-    return [
-        FilterSubset(alg, f.mask, classify_filter(alg, f.mask))
-        for f in enumerate_filters(alg)
-    ]
+    """Every filter with its flags attached, in enumeration order. The
+    lattice's distributivity defects are found once and shared."""
+    filters = enumerate_filters(alg)
+    defects = set(_distributivity_defects(alg))
+    return [FilterSubset(alg, f.mask, _classify(alg, f.mask, defects)) for f in filters]
 
 
 @dataclass(frozen=True)
@@ -288,8 +383,9 @@ class IdempotenceImplicativeResult:
 def check_idempotent_implies_implicative(
     alg: FiniteILAlgebra,
 ) -> IdempotenceImplicativeResult:
-    """On an everywhere-idempotent algebra every filter must be implicative;
-    that direction is asserted. The converse can genuinely fail, and the
+    """On an everywhere-idempotent algebra every filter must be implicative
+    (the corollary of the implicative e-form in the module docstring); that
+    direction is asserted. The converse can genuinely fail, and the
     first implicative filter of a non-idempotent algebra is reported as the
     counterexample."""
     require_valid(alg, "check_idempotent_implies_implicative")

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, report lines, machine format."""
 from __future__ import annotations
 
+import subprocess
+import sys
 import time
 
 import pytest
@@ -239,6 +241,40 @@ def test_derive_arrow_not_residuated_mutation(capsys, tmp_path):
     assert lines[0].kind == "ERROR"
     assert lines[0].label == "not-residuated"
     assert lines[0].witness == ("b", "bot")
+
+
+def test_derive_arrow_refuses_law_broken_algebra(capsys):
+    # pentagon-printed is residuated but breaks the monoid laws at a*1
+    code, out = run(capsys, "derive-arrow", fx("pentagon-printed"), "--machine")
+    assert code == 1
+    lines = parse_machine(out).lines
+    assert (lines[0].kind, lines[0].label) == ("ERROR", "derive-arrow")
+    assert "law-valid" in lines[0].detail
+    assert {l.kind for l in lines[1:]} == {"VIOLATION"}
+    assert ("star-unit", ("a", "1")) in {(l.label, l.witness) for l in lines}
+    assert not any(l.kind == "TABLE" for l in lines)
+
+
+def test_closed_stdout_exits_three_without_traceback(tmp_path):
+    # corrupted star cells give a lenient machine report of about 450 kB,
+    # far more than a pipe holds, so the writer meets the closed end
+    alg = direct_product(algebra_of("chain6lo"), algebra_of("wide7-corrected"))
+    doc = document_of(alg, "corrupted")
+    for i in range(3, 40, 3):
+        row = doc.star_rows[alg.carrier[i]]
+        row[i] = alg.carrier[-1] if row[i] == alg.carrier[0] else alg.carrier[0]
+    source = tmp_path / "corrupted.alg"
+    source.write_text(render_spec(doc))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ilalg", "check", str(source), "--lenient", "--machine"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"VERDICT;")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert stderr == b""
 
 
 def test_derive_arrow_machine_table(capsys):

@@ -37,6 +37,7 @@ from ilalg import (
     is_prime_filter,
     subset_mask,
 )
+from ilalg.filters import _distributive_sweep, _implicative_sweep
 from ilalg.fixtures import expectations
 
 
@@ -367,7 +368,8 @@ def test_long_chain_filters_and_maximality_are_known(kind, n):
 @pytest.mark.parametrize(
     "kind,n",
     [(kind, n) for kind in ("sugihara", "godel", "lukasiewicz") for n in (3, 7, 9, 15)]
-    + [("godel", 16), ("lukasiewicz", 16)],
+    + [("godel", 16), ("lukasiewicz", 16)]
+    + [("sugihara", 63), ("godel", 64), ("lukasiewicz", 64)],
 )
 def test_chain_classification_is_known(kind, n):
     alg, answers = chain_answers(kind, n)
@@ -386,3 +388,68 @@ def test_chain_classification_matches_oracle(kind):
     assert [list(row.member_names()) for row in rows] == oracle.sweep_filters(model)
     for row in rows:
         assert asdict(row.flags) == oracle.classify(model, list(row.member_names()))
+
+
+def test_boolean_power_classification_is_known():
+    # every filter of a Boolean algebra is distributive, implicative and
+    # affine; the maximal ones are the atom upsets, and these plus the
+    # carrier are the prime ones
+    alg = bool2_power(6)
+    atoms = {upset_mask(alg, i) for i, name in enumerate(alg.carrier)
+             if name.split(".").count("1") == 1}
+    rows = classify_all(alg)
+    assert len(rows) == 64
+    for row in rows:
+        maximal = row.mask in atoms
+        assert row.flags == FilterFlags(
+            distributive=True,
+            prime=maximal or row.mask == (1 << alg.n) - 1,
+            maximal=maximal,
+            implicative=True,
+            affine=True,
+        )
+    assert sum(row.flags.maximal for row in rows) == 6
+    assert sum(row.flags.prime for row in rows) == 7
+
+
+CHAINS = {"S": lambda n: sugihara_chain(n // 2), "G": godel_chain, "L": lukasiewicz_chain}
+
+
+def factor(label):
+    """A valid fixture by name, or a chain by kind letter and size, as in G12."""
+    if label[0] in CHAINS:
+        return CHAINS[label[0]](int(label[1:]))
+    return algebra_of(label)
+
+
+# products of two valid fixtures up to n = 30, three chains, and 5-element
+# chains times each valid fixture
+E_FORM_CASES = (
+    [f"{left}*{right}"
+     for left, right in itertools.combinations_with_replacement(VALID_FIXTURES, 2)
+     if algebra_of(left).n * algebra_of(right).n <= 30]
+    + ["S9", "G12", "L12"]
+    + [f"{chain}*{name}" for chain in ("S5", "G5", "L5") for name in VALID_FIXTURES]
+)
+
+
+@pytest.mark.parametrize("case", E_FORM_CASES)
+def test_e_forms_match_the_exhaustive_sweeps(case):
+    factors = [factor(label) for label in case.split("*")]
+    alg = factors[0] if len(factors) == 1 else direct_product(*factors)
+    for row in classify_all(alg):
+        distributive = _distributive_sweep(alg, row.mask)
+        implicative = _implicative_sweep(alg, row.mask)
+        assert is_distributive_filter(alg, row.mask) == distributive
+        assert is_implicative_filter(alg, row.mask) == implicative
+        assert row.flags.distributive == distributive[0]
+        assert row.flags.implicative == implicative[0]
+
+
+@pytest.mark.parametrize("name", VALID_FIXTURES)
+def test_predicates_on_every_subset_match_the_exhaustive_sweeps(name):
+    # subsets that are not ^e for an idempotent subunit take the sweep
+    alg = algebra_of(name)
+    for mask in range(1 << alg.n):
+        assert is_distributive_filter(alg, mask) == _distributive_sweep(alg, mask)
+        assert is_implicative_filter(alg, mask) == _implicative_sweep(alg, mask)
