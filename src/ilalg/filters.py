@@ -23,20 +23,29 @@ stays below each term, hence below f.
 
 Residuation turns membership in ^e into an inequality on e:
 x->y in ^e iff e <= x->y iff e*x <= y. On a law-valid algebra this gives
-two of the classes their e-forms:
+two of the classes their e-forms, each with the exhaustive sweep's
+lexicographically first witness:
 - ^e is implicative iff every u = e*x satisfies u <= u*u. The rule "from
   x->(y->z) and x->y conclude x->z" reads "u*y <= z and u <= y imply
   u <= z". (=>) Take y = u and z = u*u. (<=) u <= u*u <= u*y <= z, by
-  monotonicity of *. Corollary: on an idempotent algebra u*u = u, so every
-  filter is implicative.
+  monotonicity of *. Per x the rule fails for some y, z exactly when u is
+  not below u*u, so the sweep's first failing triple has the first such x.
+  At that x, a y has a failing z iff u <= y and u is not below u*y (take
+  z = u*y; any z above u*y is otherwise above u), so y is the first such
+  element and z the first above u*y but not above u. Corollary: on an
+  idempotent algebra u*u = u, so every filter is implicative.
 - ^e is distributive iff e*a <= b for every pair (a, b) =
   ((x join y) meet (x join z), x join (y meet z)) with a != b, since
   a->b in ^e iff e*a <= b; when a = b, e*a <= a holds as e <= 1. The pairs
   depend only on the lattice, and there are none on a distributive one.
-The two predicates use these forms only on law-valid algebras and subsets
-that are exactly ^e for an idempotent subunit e. Any other subset, and
-every "no", goes to the exhaustive sweep over triples, so each verdict and
-each lexicographically first witness is the sweep's.
+  A triple fails exactly when its pair does, and both sides are symmetric
+  in y and z, so the first failing triple has y < z and is among those
+  `_distributivity_defects` yields in lexicographic order. A pair's first
+  triple is its first failing one, so trying the pairs in the order of
+  their first triples finds the witness.
+The two predicates use these forms on law-valid algebras and subsets that
+are exactly ^e for an idempotent subunit e. Any other subset goes to the
+exhaustive sweep over triples.
 
 Subsets are bitmasks over carrier indices; enumeration output is sorted by
 ascending mask so reports are diffable.
@@ -49,6 +58,10 @@ from typing import Iterable, Iterator
 
 from .core import FiniteILAlgebra, is_idempotent, require_valid
 from .errors import AlgebraError, NotAFilterError
+
+
+# A lattice pair (a, b) with a != b, and a triple (x, y, z) that gives it.
+Defect = tuple[tuple[int, int], tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -203,9 +216,10 @@ def enumerate_filters(alg: FiniteILAlgebra) -> list[FilterSubset]:
     return [FilterSubset(alg, mask) for mask in masks]
 
 
-def _distributivity_defects(alg: FiniteILAlgebra) -> Iterator[tuple[int, int]]:
+def _distributivity_defects(alg: FiniteILAlgebra) -> Iterator[Defect]:
     """Yield the pair (a, b) = ((x join y) meet (x join z), x join (y meet z))
-    of every triple with a != b; none exist on a distributive lattice.
+    of every triple (x, y, z) with a != b and y < z, with the triple, in
+    lexicographic order; none exist on a distributive lattice.
 
     Only triples with y and z incomparable and neither below x can have
     a != b: if y <= z then y meet z = y and x join y <= x join z, so
@@ -224,7 +238,7 @@ def _distributivity_defects(alg: FiniteILAlgebra) -> Iterator[tuple[int, int]]:
                 if not below_x[z]:
                     a, b = mjy[jx[z]], jx[my[z]]
                     if a != b:
-                        yield a, b
+                        yield (a, b), (x, y, z)
 
 
 def is_distributive_filter(
@@ -236,18 +250,20 @@ def is_distributive_filter(
 
 
 def _distributive_filter(
-    alg: FiniteILAlgebra, mask: int, defects: Iterable[tuple[int, int]]
+    alg: FiniteILAlgebra, mask: int, defects: Iterable[Defect]
 ) -> tuple[bool, tuple[int, int, int] | None]:
     """`is_distributive_filter` on a mask, through the e-form when it
-    applies. `defects` yields the algebra's `_distributivity_defects`: a
-    lazy generator stops at the first failing pair, a shared set serves
-    many filters."""
+    applies. `defects` yields the algebra's `_distributivity_defects`, or
+    each pair once with its first triple: a lazy generator stops at the
+    first failing pair, a pair -> first-triple table serves many filters."""
     e = _least_idempotent_subunit(alg, mask)
-    if e is not None:
-        le, row = alg.leq_table, alg.star_table[e]
-        if all(le[row[a]][b] for a, b in defects):
-            return True, None
-    return _distributive_sweep(alg, mask)
+    if e is None:
+        return _distributive_sweep(alg, mask)
+    le, row = alg.leq_table, alg.star_table[e]
+    for (a, b), triple in defects:
+        if not le[row[a]][b]:
+            return False, triple
+    return True, None
 
 
 def _distributive_sweep(
@@ -284,11 +300,15 @@ def is_implicative_filter(
     x->y conclude x->z. Decided by the e-form when it applies."""
     mask = subset_mask(alg, subset)
     e = _least_idempotent_subunit(alg, mask)
-    if e is not None:
-        le, st = alg.leq_table, alg.star_table
-        if all(le[u][st[u][u]] for u in set(st[e])):
-            return True, None
-    return _implicative_sweep(alg, mask)
+    if e is None:
+        return _implicative_sweep(alg, mask)
+    n, le, st = alg.n, alg.leq_table, alg.star_table
+    for x, u in enumerate(st[e]):
+        if not le[u][st[u][u]]:
+            y = next(y for y in range(n) if le[u][y] and not le[u][st[u][y]])
+            z = next(z for z in range(n) if le[st[u][y]][z] and not le[u][z])
+            return False, (x, y, z)
+    return True, None
 
 
 def _implicative_sweep(
@@ -352,9 +372,7 @@ def classify_filter(
     return _classify(alg, subset_mask(alg, subset), _distributivity_defects(alg))
 
 
-def _classify(
-    alg: FiniteILAlgebra, mask: int, defects: Iterable[tuple[int, int]]
-) -> FilterFlags:
+def _classify(alg: FiniteILAlgebra, mask: int, defects: Iterable[Defect]) -> FilterFlags:
     return FilterFlags(
         distributive=_distributive_filter(alg, mask, defects)[0],
         prime=is_prime_filter(alg, mask)[0],
@@ -366,10 +384,13 @@ def _classify(
 
 def classify_all(alg: FiniteILAlgebra) -> list[FilterSubset]:
     """Every filter with its flags attached, in enumeration order. The
-    lattice's distributivity defects are found once and shared."""
+    lattice's distributivity defects are found once and shared, each pair
+    with its first triple."""
     filters = enumerate_filters(alg)
-    defects = set(_distributivity_defects(alg))
-    return [FilterSubset(alg, f.mask, _classify(alg, f.mask, defects)) for f in filters]
+    first: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for pair, triple in _distributivity_defects(alg):
+        first.setdefault(pair, triple)
+    return [FilterSubset(alg, f.mask, _classify(alg, f.mask, first.items())) for f in filters]
 
 
 @dataclass(frozen=True)

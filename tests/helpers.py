@@ -1,6 +1,7 @@
 """Shared fixture-loading helpers and known-answer generators for the tests."""
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import oracle
@@ -71,6 +72,25 @@ def direct_product(a, b):
         arrow=op(a.arrow_table, b.arrow_table),
     )
     return alg
+
+
+def shuffled(alg, seed):
+    """The same algebra with its carrier listed in a seeded random order,
+    strictly built; index order then need not extend the lattice order."""
+    perm = list(range(alg.n))
+    random.Random(seed).shuffle(perm)
+    pos = {old: new for new, old in enumerate(perm)}
+
+    def op(table):
+        return [[pos[table[x][y]] for y in perm] for x in perm]
+
+    order = [(i, j) for i, x in enumerate(perm) for j, y in enumerate(perm)
+             if alg.leq_table[x][y]]
+    new, _ = assemble_algebra(
+        [alg.carrier[x] for x in perm], order, op(alg.star_table),
+        unit=pos[alg.unit], arrow=op(alg.arrow_table),
+    )
+    return new
 
 
 @lru_cache(maxsize=None)

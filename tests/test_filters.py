@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict
+from functools import reduce
 
 import pytest
 
@@ -17,6 +18,7 @@ from helpers import (
     mask_of,
     model_of,
     oracle_model,
+    shuffled,
     sugihara_chain,
     upset_of_unit,
 )
@@ -37,6 +39,7 @@ from ilalg import (
     is_prime_filter,
     subset_mask,
 )
+from ilalg import filters
 from ilalg.filters import _distributive_sweep, _implicative_sweep
 from ilalg.fixtures import expectations
 
@@ -453,3 +456,60 @@ def test_predicates_on_every_subset_match_the_exhaustive_sweeps(name):
     for mask in range(1 << alg.n):
         assert is_distributive_filter(alg, mask) == _distributive_sweep(alg, mask)
         assert is_implicative_filter(alg, mask) == _implicative_sweep(alg, mask)
+
+
+def product_of(case):
+    """The algebra of a case label: factors joined by '*', as in G5*fork."""
+    return reduce(direct_product, [factor(label) for label in case.split("*")])
+
+
+@pytest.mark.parametrize("case", E_FORM_CASES)
+def test_e_forms_run_no_sweep_on_a_law_valid_filter(case, monkeypatch):
+    def refuse(alg, mask):
+        pytest.fail(f"exhaustive sweep on the filter {mask:#x}")
+
+    monkeypatch.setattr(filters, "_distributive_sweep", refuse)
+    monkeypatch.setattr(filters, "_implicative_sweep", refuse)
+    alg = product_of(case)
+    for row in classify_all(alg):
+        is_distributive_filter(alg, row.mask)
+        is_implicative_filter(alg, row.mask)
+
+
+@pytest.mark.parametrize("case", E_FORM_CASES)
+def test_e_forms_match_the_exhaustive_sweeps_on_a_shuffled_carrier(case):
+    # index order need not extend the lattice order here, so the first
+    # implicative witness need not have y = u and z = u*y
+    alg = shuffled(product_of(case), case)
+    for row in classify_all(alg):
+        distributive = _distributive_sweep(alg, row.mask)
+        implicative = _implicative_sweep(alg, row.mask)
+        assert is_distributive_filter(alg, row.mask) == distributive
+        assert is_implicative_filter(alg, row.mask) == implicative
+        assert row.flags.distributive == distributive[0]
+        assert row.flags.implicative == implicative[0]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["wide7-corrected*wide7-corrected", "fork*wide7-corrected",
+     "bool2*pentagon-corrected*chain6lo"],
+)
+def test_e_form_witnesses_break_the_definitions_on_wide_products(case):
+    # n = 49, 42 and 60: each "no" witness is read back on the arrow table
+    # itself, with neither the e-forms nor the sweeps as the reference
+    alg = product_of(case)
+    jn, mt, ar = alg.join_table, alg.meet_table, alg.arrow_table
+    for row in classify_all(alg):
+        mask = row.mask
+        ok, witness = is_distributive_filter(alg, mask)
+        assert ok == row.flags.distributive
+        if not ok:
+            x, y, z = witness
+            assert not mask >> ar[mt[jn[x][y]][jn[x][z]]][jn[x][mt[y][z]]] & 1
+        ok, witness = is_implicative_filter(alg, mask)
+        assert ok == row.flags.implicative
+        if not ok:
+            x, y, z = witness
+            assert mask >> ar[x][ar[y][z]] & 1 and mask >> ar[x][y] & 1
+            assert not mask >> ar[x][z] & 1
