@@ -15,10 +15,25 @@ counts only when exactly one such u exists, so a relation with a cycle
 still has none. The bound tables and transitivity are checked the same
 way, with k taken from up[j] minus up[i] in ascending order.
 
-The monotonicity identities loop x1 over the ascending up-list of x and y1
-over that of y. These are exactly the 4-tuples (x, y, x1, y1) with
-x <= x1 and y <= y1 that a sweep of all n^4 tuples keeps, visited in the
-same lexicographic order, so every witness list comes out unchanged.
+The suites over triples compare a whole table row at a time. Every entry
+is an index below n <= 64, so a row fits in `bytes`, and `bytes.translate`
+gathers one: for associativity, i*(j*k) over k is row j translated through
+row i, while (i*j)*k is simply row i*j. Two rows are then compared with one
+bytes equality test, and only a row that differs is walked element by
+element, in ascending order, to emit its witnesses. Rows are visited in the
+order of their fixed leading indices, so every violation comes out exactly
+as a sweep of all triples in lexicographic order gives it, on any table.
+Two checks compare against the order instead of a table row:
+- arrow-transitive asks that the row (x->y)*(y->z) lie pointwise below the
+  row x->z. Each row becomes an int with one 64-bit lane per z, one holding
+  the one-hot bit of its entry and the other the down mask of its entry, so
+  one AND answers the whole row.
+- the monotonicity identities range over x <= x1 and y <= y1. For each
+  (x, y), the entries x1*y1 are gathered over both up-lists, and
+  `translate` deletes those in the upset of x*y; for each (x1, y) the same
+  is done for x->y1 against x1->y. Whatever remains marks a failing block.
+Both collect their failing tuples and sort them, which restores the
+lexicographic order of the sweep.
 """
 from __future__ import annotations
 
@@ -399,6 +414,35 @@ def _freeze_bool(table):
     return tuple(tuple(bool(v) for v in row) for row in table)
 
 
+def _rows(table) -> list[bytes]:
+    """Each row of an n x n table as bytes; every entry is below n <= 64."""
+    return [bytes(row) for row in table]
+
+
+def _lookup(row) -> bytes:
+    """A row padded to a bytes.translate table: `index_row.translate(t)` is
+    `bytes(row[k] for k in index_row)`."""
+    return bytes(row).ljust(256, b"\0")
+
+
+def _lookups(table) -> list[bytes]:
+    """`_lookup` of each row of a table."""
+    return [_lookup(row) for row in table]
+
+
+def _mismatches(left: bytes, right: bytes, start: int = 0) -> list[int]:
+    """Positions k >= start where two rows differ, ascending."""
+    if left[start:] == right[start:]:
+        return []
+    return [k for k in range(start, len(left)) if left[k] != right[k]]
+
+
+def _lanes(row: bytes, masks: list[bytes]) -> int:
+    """An int whose 64-bit lane k holds masks[row[k]], each mask given as
+    8 little-endian bytes."""
+    return int.from_bytes(b"".join(map(masks.__getitem__, row)), "little")
+
+
 def check_lattice(alg: FiniteILAlgebra) -> VerificationReport:
     """Order axioms, least element, and correctness of the bound tables."""
     le, nm, n = alg.leq_table, alg.carrier, alg.n
@@ -460,29 +504,30 @@ def check_monoid(alg: FiniteILAlgebra) -> VerificationReport:
     """Commutativity over all pairs, associativity over all triples, and the
     unit law in both argument positions."""
     st, nm, n = alg.star_table, alg.carrier, alg.n
+    rows, cols, lookups = _rows(st), _rows(zip(*st)), _lookups(st)
     out: list[Violation] = []
     for i in range(n):
-        for j in range(i + 1, n):
-            if st[i][j] != st[j][i]:
-                out.append(
-                    Violation(
-                        "star-commutative", (nm[i], nm[j]),
-                        f"{nm[i]}*{nm[j]} == {nm[j]}*{nm[i]}",
-                        f"{nm[st[i][j]]} vs {nm[st[j][i]]}",
-                    )
+        for j in _mismatches(rows[i], cols[i], i + 1):
+            out.append(
+                Violation(
+                    "star-commutative", (nm[i], nm[j]),
+                    f"{nm[i]}*{nm[j]} == {nm[j]}*{nm[i]}",
+                    f"{nm[st[i][j]]} vs {nm[st[j][i]]}",
                 )
+            )
     for i in range(n):
+        st_i, lookup_i = st[i], lookups[i]
         for j in range(n):
-            for k in range(n):
-                left = st[st[i][j]][k]
-                right = st[i][st[j][k]]
-                if left != right:
-                    out.append(
-                        Violation(
-                            "star-associative", (nm[i], nm[j], nm[k]),
-                            nm[right], nm[left],
-                        )
+            # Over k: left (i*j)*k and right i*(j*k).
+            left, right = rows[st_i[j]], rows[j].translate(lookup_i)
+            if left != right:
+                out += [
+                    Violation(
+                        "star-associative", (nm[i], nm[j], nm[k]),
+                        nm[right[k]], nm[left[k]],
                     )
+                    for k in _mismatches(left, right)
+                ]
     u = alg.unit
     for i in range(n):
         if st[u][i] != i:
@@ -499,29 +544,30 @@ def check_monoid(alg: FiniteILAlgebra) -> VerificationReport:
 
 def check_residuation(alg: FiniteILAlgebra) -> VerificationReport:
     """Both directions of the adjunction over all triples."""
-    le, st, ar, nm, n = (
-        alg.leq_table, alg.star_table, alg.arrow_table, alg.carrier, alg.n,
-    )
+    le, st, nm, n = alg.leq_table, alg.star_table, alg.carrier, alg.n
+    le_rows, le_lookups, ar_rows = _rows(le), _lookups(le), _rows(alg.arrow_table)
     out: list[Violation] = []
     for x in range(n):
+        st_x, lookup_x = st[x], le_lookups[x]
         for y in range(n):
-            for z in range(n):
-                left = le[st[x][y]][z]
-                right = le[x][ar[y][z]]
-                if left != right:
-                    direction = (
-                        f"{nm[x]}*{nm[y]} <= {nm[z]} but not "
-                        f"{nm[x]} <= {nm[y]}->{nm[z]}"
-                        if left
-                        else f"{nm[x]} <= {nm[y]}->{nm[z]} but not "
-                        f"{nm[x]}*{nm[y]} <= {nm[z]}"
+            # Over z: left x*y <= z and right x <= y->z.
+            left, right = le_rows[st_x[y]], ar_rows[y].translate(lookup_x)
+            if left == right:
+                continue
+            for z in _mismatches(left, right):
+                direction = (
+                    f"{nm[x]}*{nm[y]} <= {nm[z]} but not "
+                    f"{nm[x]} <= {nm[y]}->{nm[z]}"
+                    if left[z]
+                    else f"{nm[x]} <= {nm[y]}->{nm[z]} but not "
+                    f"{nm[x]}*{nm[y]} <= {nm[z]}"
+                )
+                out.append(
+                    Violation(
+                        "residuation", (nm[x], nm[y], nm[z]),
+                        "both directions agree", direction,
                     )
-                    out.append(
-                        Violation(
-                            "residuation", (nm[x], nm[y], nm[z]),
-                            "both directions agree", direction,
-                        )
-                    )
+                )
     return VerificationReport(tuple(out))
 
 
@@ -556,20 +602,26 @@ def check_identities(alg: FiniteILAlgebra) -> VerificationReport:
     le, st, ar = alg.leq_table, alg.star_table, alg.arrow_table
     jn, mt, nm, n = alg.join_table, alg.meet_table, alg.carrier, alg.n
     u = alg.unit
+    st_rows, ar_rows, jn_rows = _rows(st), _rows(ar), _rows(jn)
+    st_lookups, ar_lookups, jn_lookups = _lookups(st), _lookups(ar), _lookups(jn)
+    up, down = _order_masks(le)
+    ups, downs = [bytes(_bits(m)) for m in up], [bytes(_bits(m)) for m in down]
     out: list[Violation] = []
 
     for x in range(n):
+        st_x, lookup_x = st[x], st_lookups[x]
         for y in range(n):
-            for z in range(n):
-                want = jn[st[x][y]][st[x][z]]
-                got = st[x][jn[y][z]]
-                if got != want:
-                    out.append(
-                        Violation(
-                            "star-distributes-join", (nm[x], nm[y], nm[z]),
-                            nm[want], nm[got],
-                        )
+            # Over z: want (x*y) join (x*z) and got x*(y join z).
+            want = st_rows[x].translate(jn_lookups[st_x[y]])
+            got = jn_rows[y].translate(lookup_x)
+            if got != want:
+                out += [
+                    Violation(
+                        "star-distributes-join", (nm[x], nm[y], nm[z]),
+                        nm[want[z]], nm[got[z]],
                     )
+                    for z in _mismatches(got, want)
+                ]
     out += _check_top(alg, None).violations
     for x in range(n):
         for y in range(n):
@@ -589,57 +641,83 @@ def check_identities(alg: FiniteILAlgebra) -> VerificationReport:
                         nm[st[x][y]],
                     )
                 )
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if not le[st[ar[x][y]][ar[y][z]]][ar[x][z]]:
-                    out.append(
-                        Violation(
-                            "arrow-transitive", (nm[x], nm[y], nm[z]),
-                            f"({nm[x]}->{nm[y]})*({nm[y]}->{nm[z]}) <= {nm[x]}->{nm[z]}",
-                            "fails",
-                        )
+    # arrow-transitive, over z: (x->y)*(y->z) <= x->z. The left row depends
+    # on x only through a = x->y, so each (a, y) builds it once, as one-hot
+    # lanes; lane z of below[x] is the down mask of x->z.
+    onehot = [(1 << v).to_bytes(8, "little") for v in range(n)]
+    down_lanes = [m.to_bytes(8, "little") for m in down]
+    below = [_lanes(row, down_lanes) for row in ar_rows]
+    failing = []
+    for y in range(n):
+        hots: dict[int, int] = {}
+        for x in range(n):
+            a = ar[x][y]
+            if a not in hots:
+                hots[a] = _lanes(ar_rows[y].translate(st_lookups[a]), onehot)
+            if hots[a] & below[x] != hots[a]:
+                failing.append((x, y))
+    for x, y in sorted(failing):
+        left = ar_rows[y].translate(st_lookups[ar[x][y]])
+        for z in range(n):
+            if not le[left[z]][ar[x][z]]:
+                out.append(
+                    Violation(
+                        "arrow-transitive", (nm[x], nm[y], nm[z]),
+                        f"({nm[x]}->{nm[y]})*({nm[y]}->{nm[z]}) <= {nm[x]}->{nm[z]}",
+                        "fails",
                     )
+                )
     for x in range(n):
         if ar[u][x] != x:
             out.append(
                 Violation("unit-arrow-identity", (nm[x],), nm[x], nm[ar[u][x]])
             )
-    ups = [[j for j in range(n) if le[i][j]] for i in range(n)]
+    # The monotonicity identities over x <= x1 and y <= y1, per y. For each
+    # x every x1*y1 must lie in the upset of x*y, and for each x1 every
+    # x->y1 in the upset of x1->y; bytes.translate deletes the members of
+    # that upset, so a nonempty result means a failure there.
+    failing = []
+    for y in range(n):
+        at = ups[y]
+        st_at = [at.translate(t) for t in st_lookups]
+        ar_at = [at.translate(t) for t in ar_lookups]
+        for x in range(n):
+            s = st[x][y]
+            if b"".join([st_at[x1] for x1 in ups[x]]).translate(None, ups[s]):
+                failing += [
+                    (x, y, x1, y1, False)
+                    for x1 in ups[x] for y1 in at if not le[s][st[x1][y1]]
+                ]
+        for x1 in range(n):
+            r = ar[x1][y]
+            if b"".join([ar_at[x] for x in downs[x1]]).translate(None, ups[r]):
+                failing += [
+                    (x, y, x1, y1, True)
+                    for x in downs[x1] for y1 in at if not le[r][ar[x][y1]]
+                ]
+    for x, y, x1, y1, antitone in sorted(failing):
+        out.append(
+            Violation(
+                "arrow-antitone" if antitone else "star-monotone",
+                (nm[x], nm[y], nm[x1], nm[y1]),
+                f"{nm[x1]}->{nm[y]} <= {nm[x]}->{nm[y1]}" if antitone
+                else f"{nm[x]}*{nm[y]} <= {nm[x1]}*{nm[y1]}",
+                "fails",
+            )
+        )
     for x in range(n):
+        st_x, lookup_x = st[x], ar_lookups[x]
         for y in range(n):
-            le_xy = le[st[x][y]]
-            for x1 in ups[x]:
-                st_x1, le_x1y = st[x1], le[ar[x1][y]]
-                for y1 in ups[y]:
-                    if not le_xy[st_x1[y1]]:
-                        out.append(
-                            Violation(
-                                "star-monotone", (nm[x], nm[y], nm[x1], nm[y1]),
-                                f"{nm[x]}*{nm[y]} <= {nm[x1]}*{nm[y1]}",
-                                "fails",
-                            )
-                        )
-                    if not le_x1y[ar[x][y1]]:
-                        out.append(
-                            Violation(
-                                "arrow-antitone", (nm[x], nm[y], nm[x1], nm[y1]),
-                                f"{nm[x1]}->{nm[y]} <= {nm[x]}->{nm[y1]}",
-                                "fails",
-                            )
-                        )
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                want = ar[st[x][y]][z]
-                got = ar[x][ar[y][z]]
-                if got != want:
-                    out.append(
-                        Violation(
-                            "arrow-curry", (nm[x], nm[y], nm[z]),
-                            nm[want], nm[got],
-                        )
+            # Over z: want (x*y)->z and got x->(y->z).
+            want, got = ar_rows[st_x[y]], ar_rows[y].translate(lookup_x)
+            if got != want:
+                out += [
+                    Violation(
+                        "arrow-curry", (nm[x], nm[y], nm[z]),
+                        nm[want[z]], nm[got[z]],
                     )
+                    for z in _mismatches(got, want)
+                ]
     for x in range(n):
         for y in range(n):
             if not le[st[x][ar[x][y]]][y]:

@@ -354,6 +354,11 @@ def is_maximal_filter(
     check = is_filter(alg, mask)
     if not check.ok:
         raise NotAFilterError(check.condition, check.witness)
+    return _maximal(alg, mask)
+
+
+def _maximal(alg: FiniteILAlgebra, mask: int) -> bool:
+    """`is_maximal_filter` on a mask already known to be a filter."""
     m = _meet_of(alg, mask)
     return m != alg.bottom and not any(
         e not in (alg.bottom, m) and alg.leq_table[e][m]
@@ -369,14 +374,18 @@ def classify_filter(
     The four table-read predicates work on any built algebra; maximality
     needs the filter lattice and is None on lenient-built ones.
     """
-    return _classify(alg, subset_mask(alg, subset), _distributivity_defects(alg))
+    mask = subset_mask(alg, subset)
+    maximal = is_maximal_filter(alg, mask) if alg.valid else None
+    return _classify(alg, mask, _distributivity_defects(alg), maximal)
 
 
-def _classify(alg: FiniteILAlgebra, mask: int, defects: Iterable[Defect]) -> FilterFlags:
+def _classify(
+    alg: FiniteILAlgebra, mask: int, defects: Iterable[Defect], maximal: bool | None
+) -> FilterFlags:
     return FilterFlags(
         distributive=_distributive_filter(alg, mask, defects)[0],
         prime=is_prime_filter(alg, mask)[0],
-        maximal=is_maximal_filter(alg, mask) if alg.valid else None,
+        maximal=maximal,
         implicative=is_implicative_filter(alg, mask)[0],
         affine=is_affine_filter(alg, mask),
     )
@@ -385,12 +394,18 @@ def _classify(alg: FiniteILAlgebra, mask: int, defects: Iterable[Defect]) -> Fil
 def classify_all(alg: FiniteILAlgebra) -> list[FilterSubset]:
     """Every filter with its flags attached, in enumeration order. The
     lattice's distributivity defects are found once and shared, each pair
-    with its first triple."""
+    with its first triple. Enumeration has already checked each mask with
+    `is_filter`, so maximality skips that guard."""
     filters = enumerate_filters(alg)
     first: dict[tuple[int, int], tuple[int, int, int]] = {}
     for pair, triple in _distributivity_defects(alg):
         first.setdefault(pair, triple)
-    return [FilterSubset(alg, f.mask, _classify(alg, f.mask, first.items())) for f in filters]
+    return [
+        FilterSubset(
+            alg, f.mask, _classify(alg, f.mask, first.items(), _maximal(alg, f.mask))
+        )
+        for f in filters
+    ]
 
 
 @dataclass(frozen=True)

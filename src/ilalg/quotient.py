@@ -14,6 +14,7 @@ from typing import Iterable
 
 from .core import (
     FiniteILAlgebra,
+    _lookup,
     assemble_algebra,
     check_integrality_equivalence,
     require_valid,
@@ -104,28 +105,33 @@ def quotient_algebra(alg: FiniteILAlgebra, subset: SubsetLike) -> QuotientResult
         for x in blk:
             projection[x] = bi
 
-    def projected(table):
-        return [[projection[v] for v in row] for row in table]
-
+    # Each value row is gathered through a translate table: `image` maps an
+    # element to its block, `member` to its membership in the filter.
+    image = _lookup(projection)
+    member = _lookup(mask >> v & 1 for v in range(alg.n))
     values = {
-        "join": projected(alg.join_table),
-        "meet": projected(alg.meet_table),
-        "star": projected(alg.star_table),
-        "arrow": projected(alg.arrow_table),
-        "order": [[bool(mask >> v & 1) for v in row] for row in alg.arrow_table],
+        "join": (alg.join_table, image),
+        "meet": (alg.meet_table, image),
+        "star": (alg.star_table, image),
+        "arrow": (alg.arrow_table, image),
+        "order": (alg.arrow_table, member),
     }
+    at_blocks, at_reps = bytes(projection), bytes(reps)
     induced = {}
-    for opname, value in values.items():
-        table = [[value[x][y] for y in reps] for x in reps]
+    for opname, (source, lookup) in values.items():
+        value = [bytes(row).translate(lookup) for row in source]
+        table = [at_reps.translate(_lookup(value[r])) for r in reps]
+        block_rows = [_lookup(row) for row in table]
         for x, row in enumerate(value):
-            block_row = table[projection[x]]
-            for y, v in enumerate(row):
-                if v != block_row[projection[y]]:
-                    raise WellDefinednessError(
-                        opname,
-                        alg.carrier[reps[projection[x]]], alg.carrier[x],
-                        alg.carrier[reps[projection[y]]], alg.carrier[y],
-                    )
+            # Over y: the value at (x, y) and the block table at ([x], [y]).
+            expected = at_blocks.translate(block_rows[projection[x]])
+            if row != expected:
+                y = next(y for y in range(alg.n) if row[y] != expected[y])
+                raise WellDefinednessError(
+                    opname,
+                    alg.carrier[reps[projection[x]]], alg.carrier[x],
+                    alg.carrier[reps[projection[y]]], alg.carrier[y],
+                )
         induced[opname] = table
 
     names = tuple(f"[{alg.carrier[r]}]" for r in reps)

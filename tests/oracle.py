@@ -7,6 +7,7 @@ frozen into the fixture sidecars and compared against engine output.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 
 
@@ -78,20 +79,30 @@ class Model:
         self.names = list(names)
         self.unit = unit
         self.le = reflexive_transitive_closure(self.names, order_pairs)
-        self.star = {(a, self.names[i]): star_rows[a][i]
-                     for a in self.names for i in range(len(self.names))}
+        self.star = self._table(star_rows)
         self.join = {(a, b): least_upper_bound(self.names, self.le, [a, b])
                      for a in self.names for b in self.names}
         self.meet = {(a, b): greatest_lower_bound(self.names, self.le, [a, b])
                      for a in self.names for b in self.names}
         self.bottom = least_element(self.names, self.le)
         if arrow_rows is not None:
-            self.arrow = {(a, self.names[i]): arrow_rows[a][i]
-                          for a in self.names for i in range(len(self.names))}
+            self.arrow = self._table(arrow_rows)
         else:
             self.arrow = {(a, b): derive_arrow_entry(self, a, b)
                           for a in self.names for b in self.names}
         self.top = self.arrow[(self.bottom, self.bottom)] if self.bottom else None
+
+    def _table(self, rows):
+        return {(a, self.names[i]): rows[a][i]
+                for a in self.names for i in range(len(self.names))}
+
+    def with_tables(self, star_rows, arrow_rows):
+        """A copy with other star and arrow rows. The order, join, meet and
+        bottom come from the order pairs alone, so they are kept."""
+        m = copy.copy(self)
+        m.star, m.arrow = m._table(star_rows), m._table(arrow_rows)
+        m.top = m.arrow[(m.bottom, m.bottom)] if m.bottom else None
+        return m
 
     def index(self, name):
         return self.names.index(name)

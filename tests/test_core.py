@@ -114,6 +114,72 @@ def in_order(by_law):
     return [(law, [tuple(w) for w in wits]) for law, wits in by_law.items()]
 
 
+# Products at the carrier cap (n = 49-64), and one at n = 30 where the n^4
+# identity oracle is still fast, with seeded star or arrow cells changed.
+# The suites compare whole table rows and walk only a row that differs; a
+# "row" case changes six cells of one star row and six of one arrow row, so
+# single rows hold several witnesses.
+CAP_PRODUCTS = {
+    "bool2^6": ("bool2",) * 6,
+    "wide7^2": ("wide7-corrected",) * 2,
+    "bool2*pentagon*chain6lo": ("bool2", "pentagon-corrected", "chain6lo"),
+    "chain6lo*pentagon": ("chain6lo", "pentagon-corrected"),
+}
+CAP_LAW_CASES = [
+    f"{label}/{cells}"
+    for label in ("bool2^6", "wide7^2", "bool2*pentagon*chain6lo")
+    for cells in (1, 5, 20)
+] + ["bool2^6/row"]
+CAP_IDENTITY_CASES = [f"chain6lo*pentagon/{cells}" for cells in (1, 5, 20, "row")]
+
+
+@lru_cache(maxsize=None)
+def cap_product(label):
+    """A product of CAP_PRODUCTS, its order pairs and its oracle model."""
+    factors = CAP_PRODUCTS[label]
+    p = algebra_of(factors[0])
+    for factor in factors[1:]:
+        p = direct_product(p, algebra_of(factor))
+    order = [(x, y) for x in range(p.n) for y in range(p.n) if p.leq_table[x][y]]
+    return p, order, oracle_model(p.carrier, order, p.star_table, p.unit, p.arrow_table)
+
+
+def corrupted_cap_case(case):
+    """(algebra, lenient build report, oracle model) of a cap case."""
+    label, cells = case.split("/")
+    p, order, model = cap_product(label)
+    rng = random.Random(case)
+    tables = {
+        "star": [list(row) for row in p.star_table],
+        "arrow": [list(row) for row in p.arrow_table],
+    }
+    if cells == "row":
+        spots = [
+            (table, i, j)
+            for table in tables
+            for i in [rng.randrange(p.n)]
+            for j in rng.sample(range(p.n), 6)
+        ]
+    else:
+        spots = [
+            (rng.choice(list(tables)), rng.randrange(p.n), rng.randrange(p.n))
+            for _ in range(int(cells))
+        ]
+    for table, i, j in spots:
+        old = tables[table][i][j]
+        tables[table][i][j] = rng.choice([v for v in range(p.n) if v != old])
+    alg, report = assemble_algebra(
+        p.carrier, order, tables["star"], unit=p.unit, arrow=tables["arrow"],
+        mode="lenient",
+    )
+    nm = p.carrier
+
+    def rows(table):
+        return {nm[x]: [nm[v] for v in table[x]] for x in range(p.n)}
+
+    return alg, report, model.with_tables(rows(tables["star"]), rows(tables["arrow"]))
+
+
 @pytest.mark.parametrize("name", VALID_FIXTURES)
 def test_strict_build_accepts_valid_fixtures(name):
     alg, report = build_algebra(doc_of(name), mode="strict")
@@ -144,6 +210,16 @@ def test_lenient_build_report_matches_sidecar(name):
 @pytest.mark.parametrize("case", WITNESS_CASES)
 def test_law_witnesses_equal_oracle(case):
     _, report, model = lenient_case(case)
+    assert in_order(report.by_law()) == in_order(oracle.law_failures(model))
+
+
+@pytest.mark.parametrize("case", CAP_LAW_CASES)
+def test_law_witnesses_at_the_cap_equal_oracle(case):
+    _, report, model = corrupted_cap_case(case)
+    assert not report.ok
+    if case.endswith("/row"):
+        rows = [w[:2] for w in report.by_law()["star-associative"]]
+        assert max(rows.count(r) for r in rows) > 1
     assert in_order(report.by_law()) == in_order(oracle.law_failures(model))
 
 
@@ -364,6 +440,14 @@ def test_identities_pass_on_valid_fixtures(name):
 def test_identity_witnesses_equal_oracle(case):
     alg, _, model = lenient_case(case)
     engine = check_identities(alg).by_law()
+    assert in_order(engine) == in_order(oracle.identity_failures(model))
+
+
+@pytest.mark.parametrize("case", CAP_IDENTITY_CASES)
+def test_identity_witnesses_of_corrupted_products_equal_oracle(case):
+    alg, _, model = corrupted_cap_case(case)
+    engine = check_identities(alg).by_law()
+    assert engine
     assert in_order(engine) == in_order(oracle.identity_failures(model))
 
 
