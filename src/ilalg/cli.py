@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .core import build_algebra, check_identities
 from .errors import (
@@ -109,8 +108,8 @@ def _main(argv) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.command == "derive-arrow":
-        doc = replace(doc, arrow_rows=None)
-    out = ReportDocument()
+        doc = doc._replace(arrow_rows=None)
+    out = ReportDocument([])
     try:
         alg, report = build_algebra(doc, mode="lenient")
     except NotResiduatedError as exc:

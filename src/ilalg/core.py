@@ -37,8 +37,7 @@ lexicographic order of the sweep.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Literal
+from typing import TYPE_CHECKING, Iterable, Literal, NamedTuple
 
 from .errors import BuildError, LawViolationError, NotResiduatedError
 
@@ -50,8 +49,7 @@ MAX_CARRIER = 64  # subsets of the carrier must fit in a machine-word bitmask
 BuildMode = Literal["strict", "lenient"]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken law instance: which law, at which elements, and how."""
 
     law: str
@@ -60,8 +58,7 @@ class Violation:
     found: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     violations: tuple[Violation, ...] = ()
     # A build report also keeps each core suite's own report, as
     # (label, report) pairs in the order the suites ran.
@@ -82,8 +79,7 @@ class VerificationReport:
         return out
 
 
-@dataclass(frozen=True)
-class FiniteILAlgebra:
+class FiniteILAlgebra(NamedTuple):
     """A finite IL-algebra held as index-based lookup tables.
 
     Element identity is the index into `carrier`; all tables are n x n and
@@ -334,7 +330,7 @@ def assemble_algebra(
     violations = [v for _, part in suites for v in part.violations]
     violations += _check_top(alg, declared_top).violations
     report = VerificationReport(tuple(violations), suites)
-    alg = replace(alg, valid=report.ok)
+    alg = alg._replace(valid=report.ok)
     if mode == "strict" and not report.ok:
         raise LawViolationError(report)
     return alg, report

@@ -52,9 +52,8 @@ ascending mask so reports are diffable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import FiniteILAlgebra, is_idempotent, require_valid
 from .errors import AlgebraError, NotAFilterError
@@ -64,8 +63,7 @@ from .errors import AlgebraError, NotAFilterError
 Defect = tuple[tuple[int, int], tuple[int, int, int]]
 
 
-@dataclass(frozen=True)
-class FilterCheck:
+class FilterCheck(NamedTuple):
     """Outcome of the three-condition filter test."""
 
     ok: bool
@@ -73,8 +71,7 @@ class FilterCheck:
     witness: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class FilterFlags:
+class FilterFlags(NamedTuple):
     distributive: bool
     prime: bool
     maximal: bool | None  # None when the algebra is lenient-built
@@ -82,8 +79,7 @@ class FilterFlags:
     affine: bool
 
 
-@dataclass(frozen=True)
-class FilterSubset:
+class FilterSubset(NamedTuple):
     """A subset of one algebra's carrier, with optional classification."""
 
     algebra: FiniteILAlgebra
@@ -408,8 +404,7 @@ def classify_all(alg: FiniteILAlgebra) -> list[FilterSubset]:
     ]
 
 
-@dataclass(frozen=True)
-class IdempotenceImplicativeResult:
+class IdempotenceImplicativeResult(NamedTuple):
     idempotent: bool
     non_idempotent_witness: int | None
     all_filters_implicative: bool

@@ -9,8 +9,7 @@ verified exhaustively, and any failure is raised as an engine/input error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     FiniteILAlgebra,
@@ -33,16 +32,14 @@ from .filters import (
 SubsetLike = FilterSubset | int | Iterable[int]
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(NamedTuple):
     filter_mask: int
     blocks: tuple[tuple[int, ...], ...]
     projection: tuple[int, ...]
     algebra: FiniteILAlgebra
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """A conditional verdict: if the filter has the premise property then
     the quotient must have the conclusion property. The conclusion is
     computed either way, so reports can show near misses."""

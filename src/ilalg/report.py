@@ -7,13 +7,12 @@ them), and details are composed without semicolons.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import VerificationReport
 
 
-@dataclass(frozen=True)
-class ReportLine:
+class ReportLine(NamedTuple):
     kind: str
     label: str
     witness: tuple[str, ...] = ()
@@ -53,9 +52,8 @@ class ReportLine:
         return " ".join(parts).rstrip()
 
 
-@dataclass
-class ReportDocument:
-    lines: list[ReportLine] = field(default_factory=list)
+class ReportDocument(NamedTuple):
+    lines: list[ReportLine]  # no default: one list would serve every document
 
     def add(self, kind: str, label: str, witness=(), detail: str = "") -> None:
         self.lines.append(ReportLine(kind, label, tuple(witness), detail))

@@ -16,8 +16,7 @@ Column order of table rows is the `elements` order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParseError
 
@@ -27,16 +26,15 @@ if TYPE_CHECKING:
 _FORBIDDEN = set(":;,#")
 
 
-@dataclass
-class AlgebraSpecDocument:
+class AlgebraSpecDocument(NamedTuple):
     """Parsed form of an .alg file; purely syntactic, nothing validated
     beyond names, arity and section completeness."""
 
     name: str
     elements: list[str]
-    order_pairs: list[tuple[str, str]] = field(default_factory=list)
-    unit: str = ""
-    star_rows: dict[str, list[str]] = field(default_factory=dict)
+    order_pairs: list[tuple[str, str]]
+    unit: str
+    star_rows: dict[str, list[str]]
     arrow_rows: dict[str, list[str]] | None = None
     declared_bottom: str | None = None
     declared_top: str | None = None

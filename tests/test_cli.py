@@ -232,7 +232,7 @@ def test_derive_arrow_not_residuated_mutation(capsys, tmp_path):
     alg = algebra_of("chain6lo")
     doc = parse_spec(fixture_path("chain6lo").read_text(encoding="utf-8"))
     doc.star_rows["b"][0] = "top"  # b*bot := top empties a solution set
-    doc.arrow_rows = None
+    doc = doc._replace(arrow_rows=None)
     source = tmp_path / "mutated.alg"
     source.write_text(render_spec(doc))
     code, out = run(capsys, "derive-arrow", str(source), "--machine")
@@ -275,6 +275,16 @@ def test_closed_stdout_exits_three_without_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 3
     assert stderr == b""
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Every CLI start pays for what `import ilalg.cli` loads. It runs in a
+    # subprocess because pytest itself has loaded both modules here.
+    probe = "import sys, ilalg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_derive_arrow_machine_table(capsys):

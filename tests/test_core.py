@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -505,7 +504,7 @@ def test_full_relation_input_equals_hasse_input():
         for j in range(alg.n)
         if alg.leq_table[i][j]
     ]
-    other, report = build_algebra(replace(doc, order_pairs=full_pairs))
+    other, report = build_algebra(doc._replace(order_pairs=full_pairs))
     assert report.ok
     assert other.leq_table == alg.leq_table
     assert other.join_table == alg.join_table
@@ -515,15 +514,15 @@ def test_full_relation_input_equals_hasse_input():
 def test_declared_top_and_bottom_crosschecks():
     doc = doc_of("chain6lo")
     good, report = build_algebra(
-        replace(doc, declared_bottom="bot", declared_top="top")
+        doc._replace(declared_bottom="bot", declared_top="top")
     )
     assert report.ok
     with pytest.raises(LawViolationError):
-        build_algebra(replace(doc, declared_top="d"))
-    _, lenient = build_algebra(replace(doc, declared_top="d"), mode="lenient")
+        build_algebra(doc._replace(declared_top="d"))
+    _, lenient = build_algebra(doc._replace(declared_top="d"), mode="lenient")
     assert lenient.by_law()["top-declared"] == [("d",)]
     with pytest.raises(BuildError, match="least"):
-        build_algebra(replace(doc, declared_bottom="d"))
+        build_algebra(doc._replace(declared_bottom="d"))
 
 
 def test_build_errors_on_malformed_structure():
@@ -606,7 +605,7 @@ TWO = AlgebraSpecDocument(
 )
 def test_build_algebra_document_errors(changes, message):
     with pytest.raises(BuildError) as err:
-        build_algebra(replace(TWO, **changes))
+        build_algebra(TWO._replace(**changes))
     assert str(err.value) == message
 
 

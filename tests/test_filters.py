@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict
 from functools import reduce
 
 import pytest
@@ -390,7 +389,7 @@ def test_chain_classification_matches_oracle(kind):
     rows = classify_all(alg)
     assert [list(row.member_names()) for row in rows] == oracle.sweep_filters(model)
     for row in rows:
-        assert asdict(row.flags) == oracle.classify(model, list(row.member_names()))
+        assert row.flags._asdict() == oracle.classify(model, list(row.member_names()))
 
 
 def test_boolean_power_classification_is_known():

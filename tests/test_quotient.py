@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -228,7 +227,7 @@ def _with_cells(alg, field, cells):
     table = [list(row) for row in getattr(alg, field)]
     for (x, y), value in cells.items():
         table[alg.index(x)][alg.index(y)] = alg.index(value)
-    return replace(alg, **{field: tuple(map(tuple, table))})
+    return alg._replace(**{field: tuple(map(tuple, table))})
 
 
 CHAIN6HI_AFFINE = ["b", "c", "1", "top"]

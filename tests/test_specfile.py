@@ -103,9 +103,7 @@ def test_parse_render_parse_is_identity(name):
 
 
 def test_render_includes_declared_bounds():
-    from dataclasses import replace
-
-    doc = replace(parse_spec(MINIMAL), declared_bottom="lo", declared_top="hi")
+    doc = parse_spec(MINIMAL)._replace(declared_bottom="lo", declared_top="hi")
     text = render_spec(doc)
     assert "bottom lo" in text and "top hi" in text
     assert parse_spec(text) == doc

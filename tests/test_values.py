@@ -1,0 +1,71 @@
+"""The result and document types are immutable values with tuple storage."""
+from __future__ import annotations
+
+import pytest
+
+from helpers import VALID_FIXTURES, algebra_of, doc_of, report_of
+from ilalg import (
+    ReportDocument,
+    ReportLine,
+    check_distributive_quotient,
+    check_idempotent_implies_implicative,
+    classify_all,
+    enumerate_filters,
+    is_filter,
+    quotient_algebra,
+)
+
+
+def _values():
+    """One instance of each value type, taken from real results."""
+    alg = algebra_of("chain6lo")
+    row = classify_all(alg)[0]
+    return [
+        alg,
+        report_of("chain6lo"),
+        report_of("pentagon-printed").violations[0],
+        is_filter(alg, 0),
+        row,
+        row.flags,
+        check_idempotent_implies_implicative(alg),
+        quotient_algebra(alg, row),
+        check_distributive_quotient(alg, row),
+        ReportLine("NOTE", "label", ("a",), "detail"),
+        ReportDocument([]),
+        doc_of("chain6lo"),
+    ]
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_fields_reject_assignment(value):
+    for field in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.extra = None
+
+
+def test_replace_returns_an_updated_copy():
+    alg = algebra_of("chain6lo")
+    broken = alg._replace(valid=False)
+    assert alg.valid and not broken.valid
+    assert broken.carrier is alg.carrier and broken != alg
+    doc = doc_of("chain6lo")
+    bare = doc._replace(arrow_rows=None)
+    assert bare.arrow_rows is None and bare.elements is doc.elements
+    assert doc.arrow_rows is not None
+
+
+@pytest.mark.parametrize("name", VALID_FIXTURES)
+def test_filter_membership_is_mask_membership(name):
+    alg = algebra_of(name)
+    for f in enumerate_filters(alg):
+        assert [i for i in range(alg.n) if i in f] == list(f.members())
+        assert quotient_algebra(alg, f) == quotient_algebra(alg, f.mask)
+
+
+def test_report_documents_never_share_lines():
+    first, second = ReportDocument([]), ReportDocument([])
+    first.add("NOTE", "only-here")
+    assert first.lines is not second.lines
+    assert second.lines == [] and len(first.lines) == 1
