@@ -9,11 +9,14 @@ Algebras are immutable after construction and every operation below is a
 pure read, so instances are safe to share across threads.
 
 The order is also read as per-element bitmasks: bit j of up[i], and bit i
-of down[j], is set when i <= j. The least element of a set U is the u in U
-with U inside up[u], and the greatest the u with U inside down[u]; a bound
-counts only when exactly one such u exists, so a relation with a cycle
-still has none. The bound tables and transitivity are checked the same
-way, with k taken from up[j] minus up[i] in ascending order.
+of down[j], is set when i <= j. In a partial order an upset U has a least
+element exactly when U == up[u], and a downset D a greatest exactly when
+D == down[u], so bottom, joins and meets are dict lookups by mask. On any
+relation, the members of S = {w1, ..., wm} above all of S are
+S & up[w1] & ... & up[wm]; the residual takes the greatest solution only
+when exactly one remains, so a relation with a cycle still has none. The
+bound tables are checked against the same masks, and transitivity with k
+taken from up[j] minus up[i] in ascending order.
 
 The suites over triples compare a whole table row at a time. Every entry
 is an index below n <= 64, so a row fits in `bytes`, and `bytes.translate`
@@ -151,19 +154,17 @@ def require_valid(alg: FiniteILAlgebra, operation: str) -> None:
 
 
 def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[bool]]:
-    """Reflexive-transitive closure of a relation given as index pairs."""
-    le = [[i == j for j in range(n)] for i in range(n)]
+    """Reflexive-transitive closure of a relation given as index pairs,
+    by Warshall's algorithm over up masks."""
+    up = [1 << i for i in range(n)]
     for a, b in pairs:
-        le[a][b] = True
+        up[a] |= 1 << b
     for k in range(n):
-        lk = le[k]
+        bit, above = 1 << k, up[k]
         for i in range(n):
-            if le[i][k]:
-                li = le[i]
-                for j in range(n):
-                    if lk[j]:
-                        li[j] = True
-    return le
+            if up[i] & bit:
+                up[i] |= above
+    return [[bool(m >> j & 1) for j in range(n)] for m in up]
 
 
 def _bits(mask: int):
@@ -187,21 +188,6 @@ def _order_masks(le) -> tuple[list[int], list[int]]:
     return up, down
 
 
-def _unique_bound(members: int, bound: list[int]) -> int | None:
-    """The one u in `members` with members inside bound[u], or None when no
-    element or several qualify. bound = up gives the least element of the
-    set, bound = down the greatest. The scan does not stop at the first
-    candidate because `derive_arrow` is public and must stay exact on
-    relations with cycles, where a second candidate can exist."""
-    found = None
-    for u in _bits(members):
-        if not members & ~bound[u]:
-            if found is not None:
-                return None
-            found = u
-    return found
-
-
 def derive_arrow(star, le) -> list[list[int]]:
     """Residual table from the monoid table and the order.
 
@@ -211,24 +197,27 @@ def derive_arrow(star, le) -> list[list[int]]:
     set is empty or has no greatest element.
     """
     n = len(le)
-    _, down = _order_masks(le)
+    up, _ = _order_masks(le)
     table = [[0] * n for _ in range(n)]
     failures = []
     for x in range(n):
-        # w grouped by the value x*w, so each (x, z) tests each value once.
-        preimages: dict[int, int] = {}
+        # w grouped by the value x*w, so each (x, z) tests each value once;
+        # each group also carries the AND of its members' up masks.
+        preimages: dict[int, tuple[int, int]] = {}
         for w, s in enumerate(star[x]):
-            preimages[s] = preimages.get(s, 0) | 1 << w
+            ws, ws_above = preimages.get(s, (0, -1))
+            preimages[s] = ws | 1 << w, ws_above & up[w]
         for z in range(n):
-            solutions = 0
-            for s, ws in preimages.items():
+            solutions, above = 0, -1
+            for s, (ws, ws_above) in preimages.items():
                 if le[s][z]:
                     solutions |= ws
-            best = _unique_bound(solutions, down)
-            if best is None:
-                failures.append((x, z))
+                    above &= ws_above
+            best = solutions & above
+            if best and not best & best - 1:
+                table[x][z] = best.bit_length() - 1
             else:
-                table[x][z] = best
+                failures.append((x, z))
     if failures:
         raise NotResiduatedError(failures)
     return table
@@ -256,8 +245,8 @@ def assemble_algebra(
         raise BuildError("carrier is empty")
     if n > MAX_CARRIER:
         raise BuildError(
-            f"carrier has {n} elements; at most {MAX_CARRIER} are supported "
-            "(subsets are machine-word bitmasks)"
+            f"carrier has {n} elements, but at most {MAX_CARRIER} are "
+            "supported (subsets are machine-word bitmasks)"
         )
     if len(set(names)) != n:
         raise BuildError("carrier names are not unique")
@@ -266,6 +255,10 @@ def assemble_algebra(
         _check_table("arrow", arrow, n)
     if not 0 <= unit < n:
         raise BuildError(f"unit index {unit} out of range")
+    order_pairs = list(order_pairs)
+    for a, b in order_pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise BuildError(f"order pair ({a}, {b}) out of range")
 
     le = transitive_closure(n, order_pairs)
     for i in range(n):
@@ -276,7 +269,9 @@ def assemble_algebra(
                 )
 
     up, down = _order_masks(le)
-    bottom = _unique_bound((1 << n) - 1, up)
+    least = {mask: u for u, mask in enumerate(up)}
+    greatest = {mask: u for u, mask in enumerate(down)}
+    bottom = least.get((1 << n) - 1)
     if bottom is None:
         raise BuildError("order has no least element")
     if declared_bottom is not None and declared_bottom != bottom:
@@ -291,12 +286,12 @@ def assemble_algebra(
     meet = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            lub = _unique_bound(up[i] & up[j], up)
+            lub = least.get(up[i] & up[j])
             if lub is None:
                 raise BuildError(
                     f"pair ({names[i]}, {names[j]}) has no least upper bound"
                 )
-            glb = _unique_bound(down[i] & down[j], down)
+            glb = greatest.get(down[i] & down[j])
             if glb is None:
                 raise BuildError(
                     f"pair ({names[i]}, {names[j]}) has no greatest lower bound"

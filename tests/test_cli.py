@@ -185,6 +185,21 @@ def test_thousand_element_file_is_refused_without_hanging(capsys, tmp_path):
     assert elapsed < 5.0
 
 
+def test_over_cap_file_machine_report_round_trips(capsys, tmp_path):
+    # The refusal is printed as a report field, so it must hold no ';'.
+    names = [f"e{i}" for i in range(65)]
+    lines = ["algebra big65", "elements " + " ".join(names), "unit e0"]
+    lines += [f"star {x} : " + " ".join(names) for x in names]
+    source = tmp_path / "big65.alg"
+    source.write_text("\n".join(lines) + "\n")
+    code, out = run(capsys, "check", str(source), "--machine")
+    assert code == 1
+    [line] = parse_machine(out).lines
+    assert (line.kind, line.label, line.witness) == ("ERROR", "build", ())
+    assert "at most 64" in line.detail
+    assert line.machine() == out.rstrip("\n")
+
+
 def test_derive_arrow_reproduces_fixture_table(capsys, tmp_path):
     text = fixture_path("chain6lo").read_text(encoding="utf-8")
     stripped = "\n".join(

@@ -38,6 +38,7 @@ from ilalg import (
     check_residuation,
     derive_arrow,
     is_idempotent,
+    transitive_closure,
 )
 from ilalg.fixtures import expectations
 
@@ -380,6 +381,66 @@ def test_derive_arrow_on_two_cycle_fails_where_oracle_has_no_greatest():
     assert raised > 0
 
 
+def test_derive_arrow_on_random_relations_matches_oracle():
+    # Seeded relations that are neither reflexive nor transitive: some t and
+    # off relate both ways while off is not related to itself. In about half
+    # of them t is related both ways to everything and x*t = t, so every
+    # solution set holds t and some of them derive a whole table.
+    rng = random.Random(11)
+    derived = 0
+    for _ in range(60):
+        n, density = rng.randint(2, 6), rng.random()
+        rn, names = range(n), [f"e{i}" for i in range(n)]
+        le = [[rng.random() < density for _ in rn] for _ in rn]
+        star = [[rng.randrange(n) for _ in rn] for _ in rn]
+        t = rng.randrange(n)
+        if rng.random() < 0.5:
+            for i in rn:
+                le[i][t] = le[t][i] = True
+                star[i][t] = t
+        off = (t + 1) % n
+        le[off][t] = le[t][off] = True
+        le[off][off] = False
+        named = {
+            (a, b): le[i][j] for i, a in enumerate(names) for j, b in enumerate(names)
+        }
+        greatest = {
+            (x, z): oracle.greatest_of(
+                names, named, [names[w] for w in rn if le[star[x][w]][z]]
+            )
+            for x in rn for z in rn
+        }
+        expected = [pair for pair, g in greatest.items() if g is None]
+        if not expected:
+            table = derive_arrow(star, le)
+            assert {(x, z): names[table[x][z]] for x, z in greatest} == greatest
+            derived += 1
+            continue
+        with pytest.raises(NotResiduatedError) as err:
+            derive_arrow(star, le)
+        assert err.value.pairs == expected
+    assert 0 < derived < 60
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_transitive_closure_matches_oracle(seed):
+    # Random pairs, with self-loops, and on odd seeds a cycle through a
+    # random sample of the elements.
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    names = [f"e{i}" for i in range(n)]
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+    if seed % 2:
+        cycle = rng.sample(range(n), rng.randint(1, n))
+        pairs += zip(cycle, cycle[1:] + cycle[:1])
+    le = transitive_closure(n, pairs)
+    reference = oracle.reflexive_transitive_closure(
+        names, [(names[a], names[b]) for a, b in pairs]
+    )
+    assert le == [[reference[(a, b)] for b in names] for a in names]
+    assert all(type(v) is bool for row in le for v in row)
+
+
 def test_check_monoid_exhaustive_on_chain():
     assert check_monoid(algebra_of("chain6lo")).ok
     assert check_monoid(algebra_of("point")).ok
@@ -540,6 +601,20 @@ def test_build_errors_on_malformed_structure():
             [[0, 0, 0], [0, 1, 0], [0, 0, 2]],
             unit=0,
         )
+    # missing meet: bot < a, b < c, d < top; the first failing pair in
+    # row-major order is (c, d), whose join is top but whose lower bounds
+    # a and b have no greatest
+    with pytest.raises(BuildError, match=r"pair \(c, d\) has no greatest lower bound"):
+        assemble_algebra(
+            ["bot", "c", "d", "a", "b", "top"],
+            [(0, 3), (0, 4), (3, 1), (3, 2), (4, 1), (4, 2), (1, 5), (2, 5)],
+            [[0] * 6 for _ in range(6)],
+            unit=0,
+        )
+    # order pair indices outside the carrier
+    for pair in ((0, 2), (0, -1), (2, 0)):
+        with pytest.raises(BuildError, match=r"order pair \(.*\) out of range"):
+            assemble_algebra(["x", "y"], [pair], [[0, 0], [0, 1]], unit=1)
     # dimension mismatch
     with pytest.raises(BuildError, match="entries"):
         assemble_algebra(["x", "y"], [(0, 1)], [[0], [0, 1]], unit=1)
