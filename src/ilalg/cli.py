@@ -141,6 +141,14 @@ def _emit(doc: ReportDocument, machine: bool) -> None:
         print(text)
 
 
+def _add_table(out, opname, alg, table) -> None:
+    """A TABLE record per cell of an index table of `alg`, row-major."""
+    nm = alg.carrier
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            out.add("TABLE", opname, (nm[i], nm[j]), nm[v])
+
+
 def _cmd_check(doc, alg, report, out, args) -> int:
     for label, part in report.suites:
         out.add("VERDICT", label, (), part.status)
@@ -199,12 +207,8 @@ def _cmd_quotient(doc, alg, report, out, args) -> int:
                 f"index={bi}")
     if args.machine:
         q = result.algebra
-        for opname, table in (("star", q.star_table), ("arrow", q.arrow_table)):
-            for i in range(q.n):
-                for j in range(q.n):
-                    out.add("TABLE", opname,
-                            (q.carrier[i], q.carrier[j]),
-                            q.carrier[table[i][j]])
+        _add_table(out, "star", q, q.star_table)
+        _add_table(out, "arrow", q, q.arrow_table)
     order_ok = check_quotient_order(alg, members)
     checks = {
         "induced-algebra": result.algebra.valid,
@@ -237,10 +241,7 @@ def _cmd_quotient(doc, alg, report, out, args) -> int:
 
 def _cmd_derive_arrow(doc, alg, report, out, args) -> int:
     if args.machine:
-        for i in range(alg.n):
-            for j in range(alg.n):
-                out.add("TABLE", "arrow", (alg.carrier[i], alg.carrier[j]),
-                        alg.carrier[alg.arrow_table[i][j]])
+        _add_table(out, "arrow", alg, alg.arrow_table)
         _emit(out, True)
     else:
         rows = _named_rows(alg, alg.arrow_table)

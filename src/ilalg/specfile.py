@@ -16,12 +16,10 @@ Column order of table rows is the `elements` order.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from .core import FiniteILAlgebra, _bits, _order_masks
 from .errors import ParseError
-
-if TYPE_CHECKING:
-    from .core import FiniteILAlgebra
 
 _FORBIDDEN = set(":;,#")
 
@@ -181,18 +179,17 @@ def _row_lines(kw: str, elements, rows: dict[str, list[str]]) -> list[str]:
     ]
 
 
-def document_of(alg: "FiniteILAlgebra", name: str) -> AlgebraSpecDocument:
+def document_of(alg: FiniteILAlgebra, name: str) -> AlgebraSpecDocument:
     """Describe a built algebra as a document (Hasse edges, full tables)."""
-    n = alg.n
-    le = alg.leq_table
-    covers = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not le[i][j]:
-                continue
-            if any(k != i and k != j and le[i][k] and le[k][j] for k in range(n)):
-                continue
-            covers.append((alg.carrier[i], alg.carrier[j]))
+    # j != i covers i when i and j are all that lies between them.
+    up, down = _order_masks(alg.leq_table)
+    nm = alg.carrier
+    covers = [
+        (nm[i], nm[j])
+        for i in range(alg.n)
+        for j in _bits(up[i])
+        if j != i and up[i] & down[j] == 1 << i | 1 << j
+    ]
     return AlgebraSpecDocument(
         name=name,
         elements=list(alg.carrier),
@@ -203,7 +200,7 @@ def document_of(alg: "FiniteILAlgebra", name: str) -> AlgebraSpecDocument:
     )
 
 
-def _named_rows(alg: "FiniteILAlgebra", table) -> dict[str, list[str]]:
+def _named_rows(alg: FiniteILAlgebra, table) -> dict[str, list[str]]:
     """An index table of `alg` as rows of names keyed by row name."""
     nm = alg.carrier
     return {nm[i]: [nm[v] for v in row] for i, row in enumerate(table)}

@@ -308,8 +308,14 @@ def test_product_filters_are_products_of_factor_filters(left, right):
         for f in enumerate_filters(a)
         for g in enumerate_filters(b)
     )
-    found = enumerate_filters(direct_product(a, b))
+    ab = direct_product(a, b)
+    found = enumerate_filters(ab)
     assert [f.mask for f in found] == expected
+    # the principal-filter theorem at product sizes: each enumerated ^e is
+    # a filter and its own closure
+    for f in found:
+        assert is_filter(ab, f.mask).ok
+        assert filter_closure(ab, f.mask).mask == f.mask
 
 
 def upset_mask(alg, i):

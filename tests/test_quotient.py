@@ -11,8 +11,11 @@ from helpers import (
     algebra_of,
     bool2_power,
     direct_product,
+    godel_chain,
+    lukasiewicz_chain,
     mask_of,
     model_of,
+    sugihara_chain,
     upset_of_unit,
 )
 from ilalg import (
@@ -310,6 +313,32 @@ def test_product_quotient_blocks_are_products_of_factor_blocks(left, right):
             lin_a and nb == 1 or lin_b and na == 1
         )
         assert (q.unit == q.top) == (unit_top_a and unit_top_b)
+
+
+THEOREM_ALGEBRAS = {
+    **{name: lambda name=name: algebra_of(name) for name in VALID_FIXTURES},
+    **{f"{a}-{b}": lambda a=a, b=b: direct_product(algebra_of(a), algebra_of(b))
+       for a, b in itertools.combinations_with_replacement(VALID_FIXTURES, 2)},
+    **{f"{chain.__name__}-{n}": lambda chain=chain, n=n: chain(n)
+       for chain in (godel_chain, lukasiewicz_chain, sugihara_chain)
+       for n in (4, 8, 16)},
+    "bool2-4": lambda: bool2_power(4),
+}
+
+
+@pytest.mark.parametrize("name", THEOREM_ALGEBRAS)
+def test_prime_and_affine_filters_are_exactly_linear_and_unit_top_quotients(name):
+    """[x] <= [y] iff x->y is in F, so the quotient is a chain iff F is
+    prime. As 1 <= top, [top] = [1] iff top->1 is in F, so the unit is the
+    quotient's top iff F is affine. The reported verdicts stay the
+    conditional checks; these converses are asserted here only."""
+    alg = THEOREM_ALGEBRAS[name]()
+    for f in enumerate_filters(alg):
+        q = quotient_algebra(alg, f.mask).algebra
+        le, rng = q.leq_table, range(q.n)
+        linear = all(le[x][y] or le[y][x] for x in rng for y in rng)
+        assert is_prime_filter(alg, f.mask)[0] == linear
+        assert is_affine_filter(alg, f.mask) == (q.unit == q.top)
 
 
 def test_boolean_power_quotient_by_product_filter():

@@ -3,7 +3,18 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import ALL_FIXTURES, algebra_of, doc_of
+from helpers import (
+    ALL_FIXTURES,
+    VALID_FIXTURES,
+    algebra_of,
+    bool2_power,
+    direct_product,
+    doc_of,
+    godel_chain,
+    lukasiewicz_chain,
+    shuffled,
+    sugihara_chain,
+)
 from ilalg import (
     ParseError,
     build_algebra,
@@ -110,15 +121,35 @@ def test_render_includes_declared_bounds():
 
 
 def test_document_of_round_trips_an_algebra():
-    alg = algebra_of("chain6lo")
-    doc = document_of(alg, "again")
-    rebuilt, report = build_algebra(doc)
-    assert report.ok
-    assert rebuilt.leq_table == alg.leq_table
-    assert rebuilt.star_table == alg.star_table
-    assert rebuilt.arrow_table == alg.arrow_table
+    wide7 = algebra_of("wide7-corrected")
+    inputs = {name: algebra_of(name) for name in ALL_FIXTURES}
+    inputs.update({
+        "bool2-6": bool2_power(6),
+        "godel-64": godel_chain(64),
+        "wide7-2": direct_product(wide7, wide7),
+        "sugihara-63": sugihara_chain(31),
+        "lukasiewicz-64": lukasiewicz_chain(64),
+    })
+    inputs.update({f"shuffled-{name}": shuffled(algebra_of(name), 11)
+                   for name in VALID_FIXTURES})
+    for name, alg in inputs.items():
+        doc = document_of(alg, "again")
+        n, le = alg.n, alg.leq_table
+        covers = [
+            (alg.carrier[i], alg.carrier[j])
+            for i in range(n)
+            for j in range(n)
+            if i != j and le[i][j]
+            and not any(k not in (i, j) and le[i][k] and le[k][j] for k in range(n))
+        ]
+        assert doc.order_pairs == covers, name
+        rebuilt, report = build_algebra(doc, mode="strict" if alg.valid else "lenient")
+        assert report.ok == alg.valid, name
+        assert rebuilt.leq_table == alg.leq_table, name
+        assert rebuilt.star_table == alg.star_table, name
+        assert rebuilt.arrow_table == alg.arrow_table, name
     # Hasse edges only: a six-chain has five covers
-    assert len(doc.order_pairs) == 5
+    assert len(document_of(algebra_of("chain6lo"), "again").order_pairs) == 5
 
 
 def test_unicode_and_odd_names_are_fine():
