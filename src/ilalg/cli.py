@@ -11,16 +11,12 @@ import os
 import sys
 
 from .core import build_algebra, check_identities
-from .errors import (
-    BuildError,
-    NotResiduatedError,
-    ParseError,
-)
+from .errors import BuildError, NotAFilterError, NotResiduatedError, ParseError
 from .filters import (
+    FilterCheck,
     classify_all,
     describe_filter_failure,
     enumerate_filters,
-    is_filter,
 )
 from .quotient import (
     check_affine_quotient,
@@ -36,8 +32,6 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 3
-
-_FLAG_NAMES = ("distributive", "prime", "maximal", "implicative", "affine")
 
 # Commands that refuse an algebra whose lenient build broke a law.
 _NEEDS_VALID = {
@@ -69,7 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quotient", help="quotient by a filter")
     p.add_argument("file")
     p.add_argument("--filter", dest="filter_members", required=True,
-                   metavar="e1,e2,...", help="comma-separated member names")
+                   metavar="e1,e2,...",
+                   help="comma-separated member names; write --filter=e1,... "
+                   "when the first name begins with '-'")
     p.add_argument("--machine", action="store_true")
 
     p = sub.add_parser("derive-arrow",
@@ -173,10 +169,9 @@ def _cmd_filters(doc, alg, report, out, args) -> int:
     if args.classify:
         rows = classify_all(alg)
         for row in rows:
-            flags = row.flags
             detail = " ".join(
-                f"{name}={'yes' if getattr(flags, name) else 'no'}"
-                for name in _FLAG_NAMES
+                f"{name}={'yes' if flag else 'no'}"
+                for name, flag in row.flags._asdict().items()
             )
             out.add("FILTER", "classified", row.member_names(), detail)
     else:
@@ -195,13 +190,14 @@ def _cmd_quotient(doc, alg, report, out, args) -> int:
     except KeyError as exc:
         print(f"bad --filter value: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    check = is_filter(alg, members)
-    if not check.ok:
+    try:
+        result = quotient_algebra(alg, members)
+    except NotAFilterError as exc:
+        check = FilterCheck(False, exc.condition, exc.witness)
         out.add("VIOLATION", check.condition, alg.names(check.witness),
                 "not a filter: " + describe_filter_failure(alg, check))
         _emit(out, args.machine)
         return EXIT_VIOLATIONS
-    result = quotient_algebra(alg, members)
     for bi, blk in enumerate(result.blocks):
         out.add("BLOCK", result.algebra.carrier[bi], alg.names(blk),
                 f"index={bi}")

@@ -7,15 +7,28 @@ import time
 
 import pytest
 
-from helpers import VALID_FIXTURES, algebra_of, direct_product
+from helpers import (
+    VALID_FIXTURES,
+    algebra_of,
+    direct_product,
+    godel_chain,
+    sugihara_chain,
+)
 from ilalg.cli import main
 from ilalg.fixtures import fixture_path
 from ilalg.report import ReportLine, parse_machine
-from ilalg import document_of, parse_spec, render_spec
+from ilalg import document_of, parse_spec, quotient_algebra, render_spec
 
 
 def fx(name):
     return str(fixture_path(name))
+
+
+def written(tmp_path, alg, name):
+    """Path of a file holding the rendered document of `alg`."""
+    source = tmp_path / f"{name}.alg"
+    source.write_text(render_spec(document_of(alg, name)))
+    return str(source)
 
 
 def run(capsys, *argv):
@@ -136,7 +149,7 @@ def test_quotient_whole_carrier(capsys):
     assert len(blocks) == 1
 
 
-def test_quotient_non_filter_exits_one_with_witness(capsys):
+def test_quotient_non_filter_exits_one_with_witness(capsys, tmp_path):
     code, out = run(capsys, "quotient", fx("fork"), "--machine",
                     "--filter", "b,c,d,1,top")
     assert code == 1
@@ -145,6 +158,29 @@ def test_quotient_non_filter_exits_one_with_witness(capsys):
     assert lines[0].label == "star-closed"
     assert lines[0].witness == ("b", "b")
     assert "bot" in lines[0].detail
+    # {bot, 1} is closed under * and meet on G8 but not upward closed.
+    code, out = run(capsys, "quotient", written(tmp_path, godel_chain(8), "G8"),
+                    "--machine", "--filter", "g0,g7")
+    assert code == 1
+    [line] = parse_machine(out).lines
+    assert (line.kind, line.label, line.witness) == (
+        "VIOLATION", "upward-closed", ("g0", "g1"))
+    assert line.detail == "not a filter: g0 is in the subset but g1 above it is not"
+
+
+def test_quotient_filter_names_beginning_with_minus(capsys, tmp_path):
+    # argparse reads "-1,..." after a space as an option, so such a filter
+    # is passed as --filter=-1,...
+    alg, members = sugihara_chain(3), "-1,0,1,2,3"
+    source = written(tmp_path, alg, "S7")
+    assert main(["quotient", source, "--machine", "--filter", members]) == 3
+    capsys.readouterr()
+    code, out = run(capsys, "quotient", source, "--machine", f"--filter={members}")
+    assert code == 0
+    blocks = [l.witness for l in parse_machine(out).lines if l.kind == "BLOCK"]
+    expected = quotient_algebra(alg, [alg.index(m) for m in members.split(",")])
+    assert blocks == [alg.names(blk) for blk in expected.blocks]
+    assert blocks[2] == ("-1", "0", "1")
 
 
 def test_quotient_unknown_member_is_usage_error(capsys):
@@ -225,8 +261,7 @@ def test_derive_arrow_prints_render_spec_arrow_lines(capsys, tmp_path, name):
         alg, source = algebra_of(name), fx(name)
     else:
         alg = direct_product(*(algebra_of(factor) for factor in name.split("*")))
-        source = tmp_path / "product.alg"
-        source.write_text(render_spec(document_of(alg, "product")))
+        source = written(tmp_path, alg, "product")
     code, out = run(capsys, "derive-arrow", str(source))
     assert code == 0
     text = render_spec(document_of(alg, name))

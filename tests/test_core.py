@@ -13,6 +13,7 @@ from helpers import (
     ERRATIC_FIXTURES,
     VALID_FIXTURES,
     algebra_of,
+    bool2_power,
     built,
     direct_product,
     doc_of,
@@ -269,9 +270,39 @@ def test_single_cell_mutations_build_or_raise_checked_errors(chain):
         assert in_order(report.by_law()) == in_order(oracle.law_failures(model))
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
+# Algebras beyond the fixtures, each rebuilt from its order, star and
+# arrow tables by `assembled`.
+CONSTRUCTED = {
+    "bool2^6": lambda: bool2_power(6),
+    "G64": lambda: godel_chain(64),
+    "S63": lambda: sugihara_chain(31),
+    "L64": lambda: lukasiewicz_chain(64),
+    **{
+        f"{a}*{b}": lambda a=a, b=b: direct_product(algebra_of(a), algebra_of(b))
+        for a, b in [
+            ("fork", "chain6lo"),
+            ("pentagon-corrected", "wide7-corrected"),
+            ("chain6hi-corrected", "bool2"),
+        ]
+    },
+}
+
+
+def assembled(alg):
+    """`assemble_algebra` on the order, star and arrow tables of `alg`."""
+    rn = range(alg.n)
+    order = [(x, y) for x in rn for y in rn if alg.leq_table[x][y]]
+    return assemble_algebra(
+        alg.carrier, order, alg.star_table, unit=alg.unit, arrow=alg.arrow_table
+    )
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + list(CONSTRUCTED))
 def test_build_report_keeps_each_core_suite(name):
-    alg, report = built(name)
+    if name in CONSTRUCTED:
+        alg, report = assembled(CONSTRUCTED[name]())
+    else:
+        alg, report = built(name)
     assert report.suites == (
         ("lattice", check_lattice(alg)),
         ("monoid", check_monoid(alg)),
@@ -345,6 +376,35 @@ def test_check_lattice_on_hand_built_relation_matches_sweep(seed):
     }
     laws = check_lattice(alg).by_law()
     assert {law: laws.get(law, []) for law in sweep} == sweep
+
+
+def test_assembled_algebras_pass_check_lattice_by_construction():
+    # Random order-pair lists, mostly along a shuffled linear order and some
+    # reversed, with zero star and arrow tables, so nothing is derived: each
+    # either raises BuildError (a cycle, no least element, a missing bound)
+    # or passes every law check_lattice sweeps, as the build report says.
+    sizes, refused = set(), 0
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n, density = rng.randint(1, 8), rng.random()
+        perm = rng.sample(range(n), n)
+        pairs = [
+            (perm[a], perm[b]) if rng.random() < 0.9 else (perm[b], perm[a])
+            for a in range(n) for b in range(a, n) if rng.random() < density
+        ]
+        zero = [[0] * n for _ in range(n)]
+        try:
+            alg, report = assemble_algebra(
+                [f"e{i}" for i in range(n)], pairs, zero, unit=0, arrow=zero,
+                mode="lenient",
+            )
+        except BuildError:
+            refused += 1
+            continue
+        sizes.add(n)
+        assert check_lattice(alg).ok
+        assert report.suites[0] == ("lattice", check_lattice(alg))
+    assert sizes == set(range(1, 9)) and refused > 1000
 
 
 def test_derive_arrow_on_two_cycle_fails_where_oracle_has_no_greatest():
