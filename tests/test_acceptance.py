@@ -218,6 +218,21 @@ def test_criterion_6_quotient_property_suite():
             )
             proj = result.projection
             q = result.algebra
+            order = all(
+                q.leq_table[proj[x]][proj[y]]
+                == bool(f.mask >> alg.arrow_table[x][y] & 1)
+                for x in range(alg.n)
+                for y in range(alg.n)
+            )
+            crit.check(order, f"{tag}: block order is not arrow membership")
+            crit.check(
+                q.top == proj[alg.top] and q.bottom == proj[alg.bottom],
+                f"{tag}: top or bottom block misplaced",
+            )
+            crit.check(
+                check_integrality_equivalence(q) == (q.unit == q.top),
+                f"{tag}: integrality and unit = top disagree",
+            )
             for src, dst in (
                 (alg.join_table, q.join_table),
                 (alg.meet_table, q.meet_table),

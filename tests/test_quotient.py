@@ -19,6 +19,7 @@ from helpers import (
     upset_of_unit,
 )
 from ilalg import (
+    AlgebraError,
     BuildError,
     CongruenceError,
     NotAFilterError,
@@ -27,6 +28,7 @@ from ilalg import (
     check_affine_quotient,
     check_distributive_quotient,
     check_identities,
+    check_integrality_equivalence,
     check_lattice,
     check_linear_quotient,
     check_monoid,
@@ -51,6 +53,21 @@ def _pair_id(pair):
     name, mask = pair
     alg = algebra_of(name)
     return f"{name}-{{{','.join(alg.names(i for i in range(alg.n) if mask >> i & 1))}}}"
+
+
+def _assert_quotient_references(alg, result):
+    """The facts `quotient_algebra` takes from its homomorphism sweep,
+    recomputed from the source: block order is arrow membership at every
+    element pair, top and bottom are the blocks of the source's, and the
+    unit is the top exactly when the quotient is integral."""
+    mask, proj, q = result.filter_mask, result.projection, result.algebra
+    for x in range(alg.n):
+        for y in range(alg.n):
+            member = bool(mask >> alg.arrow_table[x][y] & 1)
+            assert q.leq_table[proj[x]][proj[y]] == member
+    assert q.top == proj[alg.top]
+    assert q.bottom == proj[alg.bottom]
+    assert check_integrality_equivalence(q) == (q.unit == q.top)
 
 
 def test_unit_upset_gives_singleton_blocks():
@@ -170,8 +187,9 @@ def test_quotient_suite(pair):
             for y in range(alg.n):
                 assert proj[src[x][y]] == dst[proj[x]][proj[y]]
 
-    # block order is arrow membership, for every pair
+    # block order is arrow membership, for every pair; top, bottom, affine
     assert check_quotient_order(alg, mask)
+    _assert_quotient_references(alg, result)
 
     # theorem implications
     distributive = check_distributive_quotient(alg, mask)
@@ -259,6 +277,46 @@ def test_arrow_that_breaks_transitivity_is_not_a_congruence():
         quotient_algebra(bad, mask_of(alg, CHAIN6HI_AFFINE))
     assert type(info.value) is CongruenceError
     assert "not transitive" in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["pentagon-corrected", "chain6hi-corrected"])
+def test_single_cell_tampering_is_refused_or_quotients_correctly(name):
+    """Every one-cell change to star or arrow, still marked valid, for every
+    filter: either an error, or a quotient that passes the references of
+    `_assert_quotient_references` against the changed tables."""
+    alg = algebra_of(name)
+    returned = 0
+    for f in enumerate_filters(alg):
+        for field in ("star_table", "arrow_table"):
+            for x, y, v in itertools.product(range(alg.n), repeat=3):
+                if getattr(alg, field)[x][y] == v:
+                    continue
+                bad = _with_cells(
+                    alg, field, {(alg.carrier[x], alg.carrier[y]): alg.carrier[v]}
+                )
+                try:
+                    result = quotient_algebra(bad, f.mask)
+                except AlgebraError:
+                    continue
+                _assert_quotient_references(bad, result)
+                returned += 1
+    assert returned
+
+
+def test_godel_chain_quotients_keep_the_elements_below_the_filter():
+    """In G64, x->y = y for x > y, so x ~ y for x != y exactly when both
+    lie in the filter: ↑g_k leaves g0 ... g(k-1) apart and merges the rest."""
+    alg = godel_chain(64)
+    assert [f.mask for f in enumerate_filters(alg)] == [
+        (1 << 64) - (1 << k) for k in reversed(range(64))
+    ]
+    for k in range(64):
+        mask = (1 << 64) - (1 << k)
+        blocks = tuple((i,) for i in range(k)) + (tuple(range(k, 64)),)
+        assert congruence_classes(alg, mask) == blocks
+        result = quotient_algebra(alg, mask)
+        assert result.blocks == blocks
+        assert result.algebra.n == k + 1
 
 
 def _product_blocks(a_blocks, b_blocks, bn):
