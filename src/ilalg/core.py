@@ -20,12 +20,19 @@ taken from up[j] minus up[i] in ascending order.
 
 The suites over triples compare a whole table row at a time. Every entry
 is an index below n <= 64, so a row fits in `bytes`, and `bytes.translate`
-gathers one: for associativity, i*(j*k) over k is row j translated through
-row i, while (i*j)*k is simply row i*j. Two rows are then compared with one
-bytes equality test, and only a row that differs is walked element by
-element, in ascending order, to emit its witnesses. Rows are visited in the
-order of their fixed leading indices, so every violation comes out exactly
-as a sweep of all triples in lexicographic order gives it, on any table.
+gathers one. Four laws are curried: for fixed x and y they compare, over
+z, row y of a table sent through row x of another with a row read off x*y.
+`_curried` walks all four; the row each reads off x*y is
+- star-associative: row x*y of star, (x*y)*z, against x*(y*z);
+- residuation: row x*y of the order, x*y <= z, against x <= y->z;
+- arrow-curry: row x*y of arrow, (x*y)->z, against x->(y->z);
+- star-distributes-join: row x*y of the n rows (x*z) join s, built for one
+  x at a time, against x*(y join z).
+Two rows are compared with one bytes equality test, and only a row that
+differs is walked element by element, in ascending order, to emit its
+witnesses. Rows are visited in the order of (x, y), so every violation
+comes out exactly as a sweep of all triples in lexicographic order gives
+it, on any table.
 Two checks compare against the order instead of a table row:
 - arrow-transitive asks that the row (x->y)*(y->z) lie pointwise below the
   row x->z. Each row becomes an int with one 64-bit lane per z, one holding
@@ -429,6 +436,18 @@ def _mismatches(left: bytes, right: bytes, start: int = 0) -> list[int]:
     return [k for k in range(start, len(left)) if left[k] != right[k]]
 
 
+def _curried(st, outers, inner, lookups):
+    """(x, y, z, left[z], right[z]) wherever the row left = outers[x][x*y]
+    differs from right = inner[y] translated through lookups[x], for x, y
+    and z ascending. `outers` is read one x at a time."""
+    for x, (st_x, outer, lookup_x) in enumerate(zip(st, outers, lookups)):
+        for y, s in enumerate(st_x):
+            left, right = outer[s], inner[y].translate(lookup_x)
+            if left != right:
+                for z in _mismatches(left, right):
+                    yield x, y, z, left[z], right[z]
+
+
 def _lanes(row: bytes, masks: list[bytes]) -> int:
     """An int whose 64-bit lane k holds masks[row[k]], each mask given as
     8 little-endian bytes."""
@@ -508,19 +527,13 @@ def check_monoid(alg: FiniteILAlgebra) -> VerificationReport:
                     f"{nm[st[i][j]]} vs {nm[st[j][i]]}",
                 )
             )
-    for i in range(n):
-        st_i, lookup_i = st[i], lookups[i]
-        for j in range(n):
-            # Over k: left (i*j)*k and right i*(j*k).
-            left, right = rows[st_i[j]], rows[j].translate(lookup_i)
-            if left != right:
-                out += [
-                    Violation(
-                        "star-associative", (nm[i], nm[j], nm[k]),
-                        nm[right[k]], nm[left[k]],
-                    )
-                    for k in _mismatches(left, right)
-                ]
+    # Over z: found (x*y)*z and expected x*(y*z).
+    out += [
+        Violation(
+            "star-associative", (nm[x], nm[y], nm[z]), nm[expected], nm[found]
+        )
+        for x, y, z, found, expected in _curried(st, [rows] * n, rows, lookups)
+    ]
     u = alg.unit
     for i in range(n):
         if st[u][i] != i:
@@ -539,29 +552,19 @@ def check_residuation(alg: FiniteILAlgebra) -> VerificationReport:
     """Both directions of the adjunction over all triples."""
     le, st, nm, n = alg.leq_table, alg.star_table, alg.carrier, alg.n
     le_rows, le_lookups, ar_rows = _rows(le), _lookups(le), _rows(alg.arrow_table)
-    out: list[Violation] = []
-    for x in range(n):
-        st_x, lookup_x = st[x], le_lookups[x]
-        for y in range(n):
-            # Over z: left x*y <= z and right x <= y->z.
-            left, right = le_rows[st_x[y]], ar_rows[y].translate(lookup_x)
-            if left == right:
-                continue
-            for z in _mismatches(left, right):
-                direction = (
-                    f"{nm[x]}*{nm[y]} <= {nm[z]} but not "
-                    f"{nm[x]} <= {nm[y]}->{nm[z]}"
-                    if left[z]
-                    else f"{nm[x]} <= {nm[y]}->{nm[z]} but not "
-                    f"{nm[x]}*{nm[y]} <= {nm[z]}"
-                )
-                out.append(
-                    Violation(
-                        "residuation", (nm[x], nm[y], nm[z]),
-                        "both directions agree", direction,
-                    )
-                )
-    return VerificationReport(tuple(out))
+    # Over z: starred x*y <= z and arrowed x <= y->z.
+    return VerificationReport(tuple(
+        Violation(
+            "residuation", (nm[x], nm[y], nm[z]),
+            "both directions agree",
+            f"{nm[x]}*{nm[y]} <= {nm[z]} but not "
+            f"{nm[x]} <= {nm[y]}->{nm[z]}"
+            if starred
+            else f"{nm[x]} <= {nm[y]}->{nm[z]} but not "
+            f"{nm[x]}*{nm[y]} <= {nm[z]}",
+        )
+        for x, y, z, starred, _ in _curried(st, [le_rows] * n, ar_rows, le_lookups)
+    ))
 
 
 def _check_top(alg: FiniteILAlgebra, declared_top: int | None) -> VerificationReport:
@@ -601,20 +604,15 @@ def check_identities(alg: FiniteILAlgebra) -> VerificationReport:
     ups, downs = [bytes(_bits(m)) for m in up], [bytes(_bits(m)) for m in down]
     out: list[Violation] = []
 
-    for x in range(n):
-        st_x, lookup_x = st[x], st_lookups[x]
-        for y in range(n):
-            # Over z: want (x*y) join (x*z) and got x*(y join z).
-            want = st_rows[x].translate(jn_lookups[st_x[y]])
-            got = jn_rows[y].translate(lookup_x)
-            if got != want:
-                out += [
-                    Violation(
-                        "star-distributes-join", (nm[x], nm[y], nm[z]),
-                        nm[want[z]], nm[got[z]],
-                    )
-                    for z in _mismatches(got, want)
-                ]
+    # Over z: want (x*y) join (x*z) and got x*(y join z). Row s of x's
+    # outer rows is x*z joined with s, built for one x at a time.
+    outers = ([row.translate(t) for t in jn_lookups] for row in st_rows)
+    out += [
+        Violation(
+            "star-distributes-join", (nm[x], nm[y], nm[z]), nm[want], nm[got]
+        )
+        for x, y, z, want, got in _curried(st, outers, jn_rows, st_lookups)
+    ]
     out += _check_top(alg, None).violations
     for x in range(n):
         for y in range(n):
@@ -698,19 +696,11 @@ def check_identities(alg: FiniteILAlgebra) -> VerificationReport:
                 "fails",
             )
         )
-    for x in range(n):
-        st_x, lookup_x = st[x], ar_lookups[x]
-        for y in range(n):
-            # Over z: want (x*y)->z and got x->(y->z).
-            want, got = ar_rows[st_x[y]], ar_rows[y].translate(lookup_x)
-            if got != want:
-                out += [
-                    Violation(
-                        "arrow-curry", (nm[x], nm[y], nm[z]),
-                        nm[want[z]], nm[got[z]],
-                    )
-                    for z in _mismatches(got, want)
-                ]
+    # Over z: want (x*y)->z and got x->(y->z).
+    out += [
+        Violation("arrow-curry", (nm[x], nm[y], nm[z]), nm[want], nm[got])
+        for x, y, z, want, got in _curried(st, [ar_rows] * n, ar_rows, ar_lookups)
+    ]
     for x in range(n):
         for y in range(n):
             if not le[st[x][ar[x][y]]][y]:

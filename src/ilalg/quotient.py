@@ -19,6 +19,7 @@ from .core import (
     FiniteILAlgebra,
     _bits,
     _lookup,
+    _mismatches,
     assemble_algebra,
     require_valid,
 )
@@ -130,7 +131,7 @@ def quotient_algebra(alg: FiniteILAlgebra, subset: SubsetLike) -> QuotientResult
             # Over y: the value at (x, y) and the block table at ([x], [y]).
             expected = at_blocks.translate(block_rows[projection[x]])
             if row != expected:
-                y = next(y for y in range(alg.n) if row[y] != expected[y])
+                y = _mismatches(row, expected)[0]
                 raise WellDefinednessError(
                     opname,
                     alg.carrier[reps[projection[x]]], alg.carrier[x],

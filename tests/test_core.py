@@ -115,6 +115,12 @@ def in_order(by_law):
     return [(law, [tuple(w) for w in wits]) for law, wits in by_law.items()]
 
 
+def most_in_one_row(witnesses):
+    """The most witnesses that share their leading pair (x, y)."""
+    rows = [w[:2] for w in witnesses]
+    return max(rows.count(r) for r in rows)
+
+
 # Products at the carrier cap (n = 49-64), and one at n = 30 where the n^4
 # identity oracle is still fast, with seeded star or arrow cells changed.
 # The suites compare whole table rows and walk only a row that differs; a
@@ -219,8 +225,8 @@ def test_law_witnesses_at_the_cap_equal_oracle(case):
     _, report, model = corrupted_cap_case(case)
     assert not report.ok
     if case.endswith("/row"):
-        rows = [w[:2] for w in report.by_law()["star-associative"]]
-        assert max(rows.count(r) for r in rows) > 1
+        for law in ("star-associative", "residuation"):
+            assert most_in_one_row(report.by_law()[law]) > 1
     assert in_order(report.by_law()) == in_order(oracle.law_failures(model))
 
 
@@ -551,9 +557,13 @@ def test_derive_arrow_rejects_non_residuated_star():
     assert (alg.index("b"), alg.index("bot")) in err.value.pairs
 
 
-@pytest.mark.parametrize("name", VALID_FIXTURES)
+@pytest.mark.parametrize("name", VALID_FIXTURES + list(CONSTRUCTED))
 def test_identities_pass_on_valid_fixtures(name):
-    assert check_identities(algebra_of(name)).ok
+    if name in CONSTRUCTED:
+        alg, _ = assembled(CONSTRUCTED[name]())
+    else:
+        alg = algebra_of(name)
+    assert check_identities(alg).ok
 
 
 @pytest.mark.parametrize("case", WITNESS_CASES)
@@ -568,6 +578,9 @@ def test_identity_witnesses_of_corrupted_products_equal_oracle(case):
     alg, _, model = corrupted_cap_case(case)
     engine = check_identities(alg).by_law()
     assert engine
+    if case.endswith("/row"):
+        for law in ("star-distributes-join", "arrow-curry"):
+            assert most_in_one_row(engine[law]) > 1
     assert in_order(engine) == in_order(oracle.identity_failures(model))
 
 
