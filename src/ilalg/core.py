@@ -5,6 +5,26 @@ commutative monoid `*` with unit `1` and a residual `->` adjoint to it:
 x*y <= z holds exactly when x <= y->z. Nothing forces x*y <= x here, which
 is what separates these structures from residuated lattices proper.
 
+Every identity of `check_identities` is a theorem of these laws (Galatos,
+Jipsen, Kowalski and Ono, *Residuated Lattices*, 2007, section 2.2; Jipsen
+and Tsinakis, "A survey of residuated lattices", 2002). Each takes one line
+from x*y <= z <=> x <= y->z, commutativity and the unit:
+- star-distributes-join, star-monotone: `*` is a left adjoint, so it
+  preserves joins, x*(y join z) <= w <=> y, z <= x->w <=> x*y, x*z <= w,
+  and is therefore monotone.
+- arrow-antitone: for x <= x1 and y <= y1, (x1->y)*x <= (x1->y)*x1 <= y <= y1,
+  so x1->y <= x->y1; `->` is antitone in its first argument.
+- arrow-curry: w <= (x*y)->z <=> w*x*y <= z <=> w <= x->(y->z) for every w.
+- modus-ponens: x->y <= x->y gives x*(x->y) <= y. With monotonicity,
+  (x->y)*(y->z)*x <= y*(y->z) <= z, which is arrow-transitive.
+- unit-arrow-identity: w <= 1->x <=> w*1 <= x <=> w <= x for every w.
+  self-arrow-above-unit: 1*x <= x gives 1 <= x->x.
+- subunit-star-below-meet: x, y <= 1 gives x*y <= x*1 = x and x*y <= 1*y = y.
+  superunit-join-below-star: 1 <= x, y gives x = x*1 <= x*y and y <= x*y.
+- top-greatest is the build report's own top suite.
+So an algebra whose build report is empty (`valid`) passes every identity,
+and `ilalg check` prints that verdict without the sweep.
+
 Algebras are immutable after construction and every operation below is a
 pure read, so instances are safe to share across threads.
 
@@ -591,9 +611,11 @@ def _check_top(alg: FiniteILAlgebra, declared_top: int | None) -> VerificationRe
 def check_identities(alg: FiniteILAlgebra) -> VerificationReport:
     """The derived-identity suite.
 
-    Every one of these follows from the axioms, so a valid algebra passes
-    all of them; on a leniently built algebra the failures localize what is
-    wrong with the tables.
+    Every one of these follows from the axioms (the proofs are in the module
+    docstring), so a valid algebra passes all of them; on a leniently built
+    algebra the failures localize what is wrong with the tables. The CLI
+    runs it only on a lenient build with violations, and takes the verdict
+    of a valid algebra from the proofs.
     """
     le, st, ar = alg.leq_table, alg.star_table, alg.arrow_table
     jn, mt, nm, n = alg.join_table, alg.meet_table, alg.carrier, alg.n

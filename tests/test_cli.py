@@ -10,13 +10,16 @@ import pytest
 from helpers import (
     VALID_FIXTURES,
     algebra_of,
+    bool2_power,
     direct_product,
     godel_chain,
     sugihara_chain,
 )
+from ilalg import cli
 from ilalg.cli import main
+from ilalg.core import check_identities
 from ilalg.fixtures import fixture_path
-from ilalg.report import ReportLine, parse_machine
+from ilalg.report import ReportDocument, ReportLine, parse_machine
 from ilalg import document_of, parse_spec, quotient_algebra, render_spec
 
 
@@ -71,6 +74,40 @@ def test_check_lenient_adds_identity_suite_on_erratic_input(capsys):
     code, out = run(capsys, "check", fx("chain6hi-printed"), "--machine")
     labels = {l.label for l in parse_machine(out).lines}
     assert "identities" not in labels
+
+
+def test_check_takes_the_identity_verdict_of_a_valid_algebra_from_the_proofs(
+    capsys, tmp_path, monkeypatch
+):
+    # Every identity is a theorem of the laws a valid build certifies, so
+    # `check` prints its verdict without the sweep, with or without --lenient.
+    def refuse(alg):
+        pytest.fail(f"identity sweep on a law-valid algebra of {alg.n} elements")
+
+    monkeypatch.setattr(cli, "check_identities", refuse)
+    expected = ReportDocument([])
+    for label in ("lattice", "monoid", "residuation", "identities", "overall"):
+        expected.add("VERDICT", label, (), "pass")
+    sources = [fx(name) for name in VALID_FIXTURES]
+    sources.append(written(tmp_path, bool2_power(6), "bool2-6"))
+    for source in sources:
+        for lenient in ([], ["--lenient"]):
+            for machine in (False, True):
+                argv = ["check", source, *lenient] + ["--machine"] * machine
+                assert run(capsys, *argv) == (0, expected.render(machine) + "\n")
+    # A lenient build with violations still runs the suite for its witnesses.
+    calls = []
+
+    def spy(alg):
+        calls.append(alg.n)
+        return check_identities(alg)
+
+    monkeypatch.setattr(cli, "check_identities", spy)
+    code, out = run(capsys, "check", fx("chain6hi-printed"), "--lenient", "--machine")
+    assert code == 1
+    assert calls == [6]
+    records = {(l.label, l.witness) for l in parse_machine(out).lines}
+    assert ("star-monotone", ("a", "a", "a", "1")) in records
 
 
 def test_missing_file_is_usage_error(capsys):
