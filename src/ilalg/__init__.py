@@ -31,36 +31,44 @@ from .errors import (
     ParseError,
     WellDefinednessError,
 )
-from .filters import (
-    FilterCheck,
-    FilterFlags,
-    FilterSubset,
-    IdempotenceImplicativeResult,
-    check_idempotent_implies_implicative,
-    classify_all,
-    classify_filter,
-    enumerate_filters,
-    filter_closure,
-    is_affine_filter,
-    is_distributive_filter,
-    is_filter,
-    is_implicative_filter,
-    is_maximal_filter,
-    is_prime_filter,
-    subset_mask,
-)
-from .quotient import (
-    QuotientResult,
-    TheoremCheck,
-    check_affine_quotient,
-    check_distributive_quotient,
-    check_linear_quotient,
-    check_quotient_order,
-    congruence_classes,
-    quotient_algebra,
-)
 from .report import ReportDocument, ReportLine, parse_machine
 from .specfile import AlgebraSpecDocument, document_of, parse_spec, render_spec
+
+# The names of `filters` and `quotient` are served on first use (PEP 562),
+# so a command that needs neither module, such as `ilalg check`, does not
+# compile them.
+_LAZY = {
+    "filters": (
+        "FilterCheck",
+        "FilterFlags",
+        "FilterSubset",
+        "IdempotenceImplicativeResult",
+        "check_idempotent_implies_implicative",
+        "classify_all",
+        "classify_filter",
+        "enumerate_filters",
+        "filter_closure",
+        "is_affine_filter",
+        "is_distributive_filter",
+        "is_filter",
+        "is_implicative_filter",
+        "is_maximal_filter",
+        "is_prime_filter",
+        "subset_mask",
+    ),
+    "quotient": (
+        "QuotientResult",
+        "TheoremCheck",
+        "check_affine_quotient",
+        "check_distributive_quotient",
+        "check_linear_quotient",
+        "check_quotient_order",
+        "congruence_classes",
+        "quotient_algebra",
+    ),
+}
+# Each lazy name, and each of the two modules, to its module.
+_HOME = {name: mod for mod, names in _LAZY.items() for name in (mod, *names)}
 
 __version__ = "0.1.0"
 
@@ -87,30 +95,8 @@ __all__ = [
     "NotResiduatedError",
     "ParseError",
     "WellDefinednessError",
-    "FilterCheck",
-    "FilterFlags",
-    "FilterSubset",
-    "IdempotenceImplicativeResult",
-    "check_idempotent_implies_implicative",
-    "classify_all",
-    "classify_filter",
-    "enumerate_filters",
-    "filter_closure",
-    "is_affine_filter",
-    "is_distributive_filter",
-    "is_filter",
-    "is_implicative_filter",
-    "is_maximal_filter",
-    "is_prime_filter",
-    "subset_mask",
-    "QuotientResult",
-    "TheoremCheck",
-    "check_affine_quotient",
-    "check_distributive_quotient",
-    "check_linear_quotient",
-    "check_quotient_order",
-    "congruence_classes",
-    "quotient_algebra",
+    *_LAZY["filters"],
+    *_LAZY["quotient"],
     "ReportDocument",
     "ReportLine",
     "parse_machine",
@@ -119,3 +105,18 @@ __all__ = [
     "parse_spec",
     "render_spec",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{_HOME[name]}")
+    value = module if name == _HOME[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOME.keys())

@@ -38,6 +38,17 @@ when exactly one remains, so a relation with a cycle still has none. The
 bound tables are checked against the same masks, and transitivity with k
 taken from up[j] minus up[i] in ascending order.
 
+On a residuated structure the solutions of x*w <= z are exactly the
+downset of x->z, so `derive_arrow` first looks the solution mask S up
+among the down masks. It keeps down[g] only where up[g] & down[g] == 1 << g,
+that is, g is related to itself and to nothing else both ways. Then
+S == down[g] holds g, every member of S lies below g, and a member above g
+lies in up[g] & down[g], so g alone is above all of S: the lookup gives
+what the rule gives. No two kept g share a down mask, as each would lie
+below the other. A two-way partner of g, or g not related to itself, could
+make the rule give another element or none, so every mask not kept goes to
+the rule itself.
+
 The suites over triples compare a whole table row at a time. Every entry
 is an index below n <= 64, so a row fits in `bytes`, and `bytes.translate`
 gathers one. Four laws are curried: for fixed x and y they compare, over
@@ -223,31 +234,38 @@ def derive_arrow(star, le) -> list[list[int]]:
     pick. Raises NotResiduatedError listing every (x, z) where the solution
     set is empty or has no greatest element.
     """
-    n = len(le)
-    up, _ = _order_masks(le)
-    table = [[0] * n for _ in range(n)]
+    up, down = _order_masks(le)
+    greatest = {mask: g for g, mask in enumerate(down) if up[g] & mask == 1 << g}
+    # Column z of the relation as a translate table to the digits 0 and 1:
+    # star row x, reversed and sent through it, spells the solution mask of
+    # (x, z) in binary, with bit w set when x*w <= z.
+    columns = [_lookup(b"01"[related] for related in col) for col in zip(*le)]
+    table = []
     failures = []
-    for x in range(n):
-        # w grouped by the value x*w, so each (x, z) tests each value once;
-        # each group also carries the AND of its members' up masks.
-        preimages: dict[int, tuple[int, int]] = {}
-        for w, s in enumerate(star[x]):
-            ws, ws_above = preimages.get(s, (0, -1))
-            preimages[s] = ws | 1 << w, ws_above & up[w]
-        for z in range(n):
-            solutions, above = 0, -1
-            for s, (ws, ws_above) in preimages.items():
-                if le[s][z]:
-                    solutions |= ws
-                    above &= ws_above
-            best = solutions & above
-            if best and not best & best - 1:
-                table[x][z] = best.bit_length() - 1
-            else:
-                failures.append((x, z))
+    for x, row in enumerate(star):
+        reverse = bytes(reversed(row))
+        masks = [int(reverse.translate(col), 2) for col in columns]
+        cells = [greatest.get(mask) for mask in masks]
+        for z, g in enumerate(cells):
+            if g is None:
+                cells[z] = _greatest_member(masks[z], up)
+                if cells[z] is None:
+                    failures.append((x, z))
+        table.append(cells)
     if failures:
         raise NotResiduatedError(failures)
     return table
+
+
+def _greatest_member(mask: int, up: list[int]) -> int | None:
+    """The only member of `mask` above every member, or None when there is
+    not exactly one."""
+    best = mask
+    for w in _bits(mask):
+        best &= up[w]
+    if best and not best & best - 1:
+        return best.bit_length() - 1
+    return None
 
 
 def assemble_algebra(
@@ -367,7 +385,7 @@ def build_algebra(
     doc: "AlgebraSpecDocument", mode: BuildMode = "strict"
 ) -> tuple[FiniteILAlgebra, VerificationReport]:
     """Assemble an algebra from a parsed description document. Every name
-    goes through one resolver, and the first bad one is reported, in the
+    is looked up in one index, and the first bad one is reported, in the
     order: order pairs, star rows, arrow rows, unit, bottom, top."""
     names = list(doc.elements)
     if not names:
@@ -393,7 +411,11 @@ def build_algebra(
                     f"{what} row for {e!r} has {len(row)} entries, "
                     f"expected {len(names)}"
                 )
-            out.append([resolve(v, f"{what} row") for v in row])
+            try:
+                out.append(list(map(index.__getitem__, row)))
+            except KeyError:
+                for v in row:  # raises at the first bad cell
+                    resolve(v, f"{what} row")
         return out
 
     def declared(name, what):

@@ -38,15 +38,13 @@ class AlgebraSpecDocument(NamedTuple):
     declared_top: str | None = None
 
 
-def _tokenize(line: str) -> list[tuple[int, str]]:
-    """Split a line into (1-based column, token) pairs."""
-    out = []
+def _column(line: str, k: int) -> int:
+    """1-based column of token k of a line, counting tokens from 0."""
+    pieces = line.split("#", 1)[0].split()
     col = 0
-    for piece in line.split("#", 1)[0].split():
-        col = line.index(piece, col)
-        out.append((col + 1, piece))
-        col += len(piece)
-    return out
+    for piece in pieces[:k]:
+        col = line.index(piece, col) + len(piece)
+    return line.index(pieces[k], col) + 1
 
 
 def _valid_name(tok: str) -> bool:
@@ -54,7 +52,10 @@ def _valid_name(tok: str) -> bool:
 
 
 def parse_spec(text: str) -> AlgebraSpecDocument:
-    """Parse an .alg document, raising positioned ParseError on any defect."""
+    """Parse an .alg document, raising positioned ParseError on any defect.
+
+    Lines are split into tokens without positions; a token's column is
+    worked out only for the error that names it."""
     lines = text.splitlines()
     elements: list[str] | None = None
     order_pairs: list[tuple[str, str]] = []
@@ -62,70 +63,71 @@ def parse_spec(text: str) -> AlgebraSpecDocument:
     single: dict[str, str | None] = dict.fromkeys(
         ("algebra", "unit", "bottom", "top")
     )
-    names: set[str] = set()
+    # Each name maps to itself, so table rows can hold the one string of
+    # each name rather than a fresh token per cell.
+    names: dict[str, str] = {}
     star_rows: dict[str, list[str]] = {}
     arrow_rows: dict[str, list[str]] = {}
 
-    def fail(line_no, col, msg):
-        raise ParseError(line_no, col, msg)
+    def fail(line_no, k, msg):
+        raise ParseError(line_no, _column(lines[line_no - 1], k), msg)
 
-    def known(line_no, col, tok):
+    def known(line_no, k, tok):
         if tok not in names:
-            fail(line_no, col, f"unknown element name {tok!r}")
+            fail(line_no, k, f"unknown element name {tok!r}")
         return tok
 
     for line_no, raw in enumerate(lines, 1):
-        toks = _tokenize(raw)
+        toks = raw.split("#", 1)[0].split()
         if not toks:
             continue
-        col0, kw = toks[0]
-        rest = toks[1:]
+        kw = toks[0]
         if kw in ("order", "unit", "bottom", "top", "star", "arrow") and elements is None:
-            fail(line_no, col0, "directive before 'elements'")
+            fail(line_no, 0, "directive before 'elements'")
         if kw in single:
             if single[kw] is not None:
-                fail(line_no, col0, f"duplicate '{kw}' line")
-            if len(rest) != 1:
-                fail(line_no, col0, f"'{kw}' takes exactly one name")
-            col, tok = rest[0]
-            single[kw] = tok if kw == "algebra" else known(line_no, col, tok)
+                fail(line_no, 0, f"duplicate '{kw}' line")
+            if len(toks) != 2:
+                fail(line_no, 0, f"'{kw}' takes exactly one name")
+            single[kw] = toks[1] if kw == "algebra" else known(line_no, 1, toks[1])
         elif kw == "elements":
             if elements is not None:
-                fail(line_no, col0, "duplicate 'elements' line")
-            if not rest:
-                fail(line_no, col0, "'elements' needs at least one name")
-            elements = []
-            for col, tok in rest:
+                fail(line_no, 0, "duplicate 'elements' line")
+            if len(toks) == 1:
+                fail(line_no, 0, "'elements' needs at least one name")
+            elements = toks[1:]
+            for k, tok in enumerate(elements, 1):
                 if not _valid_name(tok):
-                    fail(line_no, col, f"bad element name {tok!r}")
+                    fail(line_no, k, f"bad element name {tok!r}")
                 if tok in names:
-                    fail(line_no, col, f"duplicate element name {tok!r}")
-                names.add(tok)
-                elements.append(tok)
+                    fail(line_no, k, f"duplicate element name {tok!r}")
+                names[tok] = tok
         elif kw == "order":
-            if len(rest) != 3 or rest[1][1] != "<=":
-                fail(line_no, col0, "expected: order <a> <= <b>")
-            a = known(line_no, rest[0][0], rest[0][1])
-            b = known(line_no, rest[2][0], rest[2][1])
+            if len(toks) != 4 or toks[2] != "<=":
+                fail(line_no, 0, "expected: order <a> <= <b>")
+            a, b = known(line_no, 1, toks[1]), known(line_no, 3, toks[3])
             order_pairs.append((a, b))
         elif kw in ("star", "arrow"):
             rows = star_rows if kw == "star" else arrow_rows
-            if len(rest) < 2 or rest[1][1] != ":":
-                fail(line_no, col0, f"expected: {kw} <row-element> : <entries>")
-            rcol, rname = rest[0]
-            known(line_no, rcol, rname)
+            if len(toks) < 3 or toks[2] != ":":
+                fail(line_no, 0, f"expected: {kw} <row-element> : <entries>")
+            rname = known(line_no, 1, toks[1])
             if rname in rows:
-                fail(line_no, rcol, f"duplicate {kw} row for {rname!r}")
-            entries = rest[2:]
+                fail(line_no, 1, f"duplicate {kw} row for {rname!r}")
+            entries = toks[3:]
             if len(entries) != len(elements):
                 fail(
-                    line_no, rcol,
+                    line_no, 1,
                     f"{kw} row for {rname!r} has {len(entries)} entries, "
                     f"expected {len(elements)}",
                 )
-            rows[rname] = [known(line_no, c, t) for c, t in entries]
+            try:
+                rows[rname] = list(map(names.__getitem__, entries))
+            except KeyError:
+                for k, tok in enumerate(entries, 3):  # raises at the first bad cell
+                    known(line_no, k, tok)
         else:
-            fail(line_no, col0, f"unknown directive {kw!r}")
+            fail(line_no, 0, f"unknown directive {kw!r}")
 
     end = max(len(lines), 1)
     if elements is None:

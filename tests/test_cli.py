@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report lines, machine format."""
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import time
@@ -372,6 +373,51 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_commands_import_only_what_they_run():
+    # `check` and `derive-arrow` need neither filters nor quotient, and
+    # `filters` does not need quotient; the package still serves every name
+    # of __all__. A fresh process, since this one has loaded everything.
+    probe = """
+import contextlib, io, json, sys
+import ilalg
+from ilalg import cli
+from ilalg.fixtures import fixture_path
+
+def loaded(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main([argv[0], str(fixture_path("wide7-corrected")), *argv[1:]])
+    return sorted(m for m in ("ilalg.filters", "ilalg.quotient") if m in sys.modules)
+
+result = {
+    "check": loaded("check"),
+    "derive-arrow": loaded("derive-arrow", "--machine"),
+    "filters": loaded("filters", "--classify"),
+    "unlisted": [n for n in ilalg.__all__ if n not in dir(ilalg)],
+    "unbound": [n for n in ilalg.__all__ if getattr(ilalg, n, None) is None],
+    "modules": [ilalg.classify_all is ilalg.filters.classify_all,
+                ilalg.quotient_algebra is ilalg.quotient.quotient_algebra],
+    "missing": hasattr(ilalg, "no_such_name"),
+}
+star = {}
+exec("from ilalg import *", star)
+result["unstarred"] = [n for n in ilalg.__all__ if n not in star]
+print(json.dumps(result))
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "check": [],
+        "derive-arrow": [],
+        "filters": ["ilalg.filters"],
+        "unlisted": [],
+        "unbound": [],
+        "modules": [True, True],
+        "missing": False,
+        "unstarred": [],
+    }
 
 
 def test_derive_arrow_machine_table(capsys):

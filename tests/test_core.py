@@ -41,6 +41,7 @@ from ilalg import (
     is_idempotent,
     transitive_closure,
 )
+from ilalg import core
 from ilalg.fixtures import expectations
 
 # Small products (n <= 12) of valid fixtures and short generated chains,
@@ -488,6 +489,66 @@ def test_derive_arrow_on_random_relations_matches_oracle():
     assert 0 < derived < 60
 
 
+def test_derive_arrow_downset_lookup_traps_match_oracle(monkeypatch):
+    # A seeded partial order with least element 0 and greatest n - 1, and a
+    # trap planted at g: a two-way partner h, or g not related to itself.
+    # Star rows other than `trap` are constant 0, so their solutions are
+    # the whole carrier, down[n - 1], which the lookup answers. Row `trap`
+    # is 0 on down[g] and `outside` elsewhere, so at z = 0 its solutions are
+    # exactly down[g], where ↓g may not name g. With a two-way partner no
+    # kept element has that down mask, so it must go to the rule.
+    rng = random.Random(23)
+    rule_calls = []
+    rule = core._greatest_member
+
+    def counted(mask, up):
+        rule_calls.append(mask)
+        return rule(mask, up)
+
+    monkeypatch.setattr(core, "_greatest_member", counted)
+    lookups = raised = 0
+    for case in range(40):
+        n = rng.randint(4, 7)
+        rn, names = range(n), [f"e{i}" for i in range(n)]
+        pairs = [(0, j) for j in rn] + [(i, n - 1) for i in rn]
+        pairs += [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1)
+                  if rng.random() < 0.4]
+        le = transitive_closure(n, pairs)
+        g, h = rng.sample(range(1, n - 1), 2)
+        if case % 2:
+            le[g][h] = le[h][g] = True
+        else:
+            le[g][g] = False
+        trap, outside = rng.randrange(n), rng.randrange(1, n)
+        star = [[0] * n for _ in rn]
+        star[trap] = [0 if le[w][g] else outside for w in rn]
+        named = {
+            (a, b): le[i][j] for i, a in enumerate(names) for j, b in enumerate(names)
+        }
+        greatest = {
+            (x, z): oracle.greatest_of(
+                names, named, [names[w] for w in rn if le[star[x][w]][z]]
+            )
+            for x in rn for z in rn
+        }
+        expected = [pair for pair, found in greatest.items() if found is None]
+        before = len(rule_calls)
+        if expected:
+            with pytest.raises(NotResiduatedError) as err:
+                derive_arrow(star, le)
+            assert err.value.pairs == expected
+            raised += 1
+        else:
+            table = derive_arrow(star, le)
+            assert {(x, z): names[table[x][z]] for x, z in greatest} == greatest
+        down_g = sum(1 << w for w in rn if le[w][g])
+        if case % 2:
+            assert down_g in rule_calls[before:]
+        lookups += n * n - (len(rule_calls) - before)
+    assert 0 < raised < 40
+    assert rule_calls and lookups > len(rule_calls)
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_transitive_closure_matches_oracle(seed):
     # Random pairs, with self-loops, and on odd seeds a cycle through a
@@ -769,6 +830,37 @@ def test_build_algebra_document_errors(changes, message):
     with pytest.raises(BuildError) as err:
         build_algebra(TWO._replace(**changes))
     assert str(err.value) == message
+
+
+def test_build_algebra_names_the_first_bad_name_in_a_fixed_order():
+    # A bad name in each of the six places; mending them one at a time
+    # walks the order: order, star, arrow, unit, bottom, top.
+    bad = [
+        {"order_pairs": [("lo", "hi"), ("o1", "hi")]},
+        {"star_rows": {"lo": ["lo", "s1"], "hi": ["s2", "hi"]}},
+        {"arrow_rows": {"lo": ["hi", "hi"], "hi": ["a1", "a2"]}},
+        {"unit": "u1"},
+        {"declared_bottom": "b1"},
+        {"declared_top": "t1"},
+    ]
+    doc = TWO
+    for changes in bad:
+        doc = doc._replace(**changes)
+    named = []
+    for changes in bad:
+        with pytest.raises(BuildError) as err:
+            build_algebra(doc)
+        named.append(str(err.value))
+        doc = doc._replace(**{k: getattr(TWO, k) for k in changes})
+    assert named == [
+        "unknown element name 'o1' in order",
+        "unknown element name 's1' in star row",
+        "unknown element name 'a1' in arrow row",
+        "unknown element name 'u1' in unit",
+        "unknown element name 'b1' in bottom",
+        "unknown element name 't1' in top",
+    ]
+    assert build_algebra(doc)[1].ok
 
 
 def test_two_element_document_builds():

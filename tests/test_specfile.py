@@ -1,6 +1,9 @@
 """The .alg grammar: parsing, positioned errors, rendering, round-trips."""
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
 from helpers import (
@@ -99,6 +102,58 @@ def test_row_arity_error_is_positioned():
     assert err.value.line == 4
     assert "5 entries" in err.value.message
     assert "expected 6" in err.value.message
+
+
+def token_columns(line):
+    """1-based start column of each token of a line before any '#'."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", line.split("#", 1)[0])]
+
+
+def test_positioned_errors_on_every_table_line_at_the_cap():
+    # One defect per star or arrow line of a rendered 64-element spec, the
+    # six kinds in turn, each reported line indented by a seeded amount.
+    # The expected column is read off the reported line itself.
+    rng = random.Random(17)
+    lines = render_spec(document_of(bool2_power(6), "b6")).splitlines()
+    n = 64
+    table_lines = [i for i, line in enumerate(lines)
+                   if line.split()[0] in ("star", "arrow")]
+    assert len(table_lines) == 2 * n
+    for kind, i in enumerate(table_lines):
+        toks = lines[i].split()
+        kw, row = toks[:2]
+        indent = " " * rng.randrange(4)
+        planted = list(lines)
+        if kind % 6 == 0:
+            k = rng.randrange(3, 3 + n)
+            toks[k] = "nowhere"
+            line = planted[i] = indent + "  ".join(toks)
+            want = (i + 1, token_columns(line)[k], "unknown element name 'nowhere'")
+        elif kind % 6 == 1:
+            toks = toks + [toks[3]] if rng.random() < 0.5 else toks[:-1]
+            line = planted[i] = indent + " ".join(toks)
+            want = (i + 1, token_columns(line)[1],
+                    f"{kw} row for {row!r} has {len(toks) - 3} entries, expected {n}")
+        elif kind % 6 == 2:
+            line = indent + lines[i]
+            planted.insert(i + 1, line)
+            want = (i + 2, token_columns(line)[1], f"duplicate {kw} row for {row!r}")
+        elif kind % 6 == 3:
+            line = planted[i] = indent + lines[i].replace(" : ", "   ", 1)
+            want = (i + 1, token_columns(line)[0],
+                    f"expected: {kw} <row-element> : <entries>")
+        elif kind % 6 == 4:
+            line = indent + lines[i]
+            planted.insert(0, line)
+            want = (1, token_columns(line)[0], "directive before 'elements'")
+        else:
+            k = rng.randrange(3, 3 + n)
+            line = planted[i] = indent + " ".join(toks[:k] + ["#", "note"] + toks[k:])
+            want = (i + 1, token_columns(line)[1],
+                    f"{kw} row for {row!r} has {k - 3} entries, expected {n}")
+        with pytest.raises(ParseError) as err:
+            parse_spec("\n".join(planted) + "\n")
+        assert (err.value.line, err.value.column, err.value.message) == want
 
 
 def test_partial_arrow_section_is_rejected():
