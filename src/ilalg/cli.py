@@ -3,6 +3,11 @@
 Commands: check, filters, quotient, derive-arrow. Exit codes: 0 all pass,
 1 violations or failed preconditions, 2 parse error, 3 usage error or a
 stdout closed before the report was written.
+
+A report is written as it is made: each section in one write when it
+finishes, and a list of records (violations, table rows) SLICE records at
+a time, so memory grows with the violations found, not with the report's
+text.
 """
 from __future__ import annotations
 
@@ -22,6 +27,10 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 3
+
+# Records per write of a long list. A write is a system call when stdout is
+# unbuffered, so records are not written one at a time.
+SLICE = 1024
 
 # Commands that refuse an algebra whose lenient build broke a law.
 _NEEDS_VALID = {
@@ -103,6 +112,8 @@ def _main(argv) -> int:
             out.add("ERROR", "not-residuated",
                     (doc.elements[x], doc.elements[z]),
                     "no greatest solution w of x*w <= z")
+            if len(out.lines) >= SLICE:
+                _emit(out, args.machine)
     except BuildError as exc:
         out.add("ERROR", "build", (), str(exc))
     else:
@@ -116,33 +127,44 @@ def _main(argv) -> int:
             }[args.command]
             return command(doc, alg, report, out, args)
         out.add("ERROR", args.command, (), refusal)
-        out.extend_violations(report)
+        _emit_violations(out, report.violations, args.machine)
     _emit(out, args.machine)
     return EXIT_VIOLATIONS
 
 
-def _emit(doc: ReportDocument, machine: bool) -> None:
-    text = doc.render(machine)
-    if text:
-        print(text)
+def _emit(out: ReportDocument, machine: bool) -> None:
+    """Write the records of `out` in one write and clear it."""
+    if out.lines:
+        sys.stdout.write(out.render(machine) + "\n")
+        out.lines.clear()
 
 
-def _add_table(out, opname, alg, table) -> None:
-    """A TABLE record per cell of an index table of `alg`, row-major."""
+def _emit_violations(out, violations, machine) -> None:
+    """Write what `out` holds, then a VIOLATION record per violation,
+    SLICE records at a time."""
+    for v in violations:
+        out.add_violation(v)
+        if len(out.lines) >= SLICE:
+            _emit(out, machine)
+    _emit(out, machine)
+
+
+def _emit_table(out, opname, alg, table) -> None:
+    """A machine TABLE record per cell of an index table of `alg`,
+    row-major, written a row at a time."""
     nm = alg.carrier
     for i, row in enumerate(table):
         for j, v in enumerate(row):
             out.add("TABLE", opname, (nm[i], nm[j]), nm[v])
+        _emit(out, True)
 
 
 def _cmd_check(doc, alg, report, out, args) -> int:
     for label, part in report.suites:
         out.add("VERDICT", label, (), part.status)
-        out.extend_violations(part)
-    for v in report.violations:
-        if v.law == "top-declared":
-            out.add("VIOLATION", v.law, v.witness,
-                    f"expected {v.expected} | found {v.found}")
+        _emit_violations(out, part.violations, args.machine)
+    _emit_violations(out, (v for v in report.violations if v.law == "top-declared"),
+                     args.machine)
     if alg.valid:
         # Every identity is a theorem of the laws that alg.valid certifies;
         # the proofs are in the docstring of ilalg.core.
@@ -150,7 +172,7 @@ def _cmd_check(doc, alg, report, out, args) -> int:
     elif args.lenient:
         ident = check_identities(alg)
         out.add("VERDICT", "identities", (), ident.status)
-        out.extend_violations(ident)
+        _emit_violations(out, ident.violations, args.machine)
     out.add("VERDICT", "overall", (), report.status)
     _emit(out, args.machine)
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
@@ -203,10 +225,11 @@ def _cmd_quotient(doc, alg, report, out, args) -> int:
     for bi, blk in enumerate(result.blocks):
         out.add("BLOCK", result.algebra.carrier[bi], alg.names(blk),
                 f"index={bi}")
+    _emit(out, args.machine)
     if args.machine:
         q = result.algebra
-        _add_table(out, "star", q, q.star_table)
-        _add_table(out, "arrow", q, q.arrow_table)
+        _emit_table(out, "star", q, q.star_table)
+        _emit_table(out, "arrow", q, q.arrow_table)
     order_ok = check_quotient_order(alg, members)
     checks = {
         "induced-algebra": result.algebra.valid,
@@ -239,8 +262,7 @@ def _cmd_quotient(doc, alg, report, out, args) -> int:
 
 def _cmd_derive_arrow(doc, alg, report, out, args) -> int:
     if args.machine:
-        _add_table(out, "arrow", alg, alg.arrow_table)
-        _emit(out, True)
+        _emit_table(out, "arrow", alg, alg.arrow_table)
     else:
         rows = _named_rows(alg, alg.arrow_table)
         print("\n".join(_row_lines("arrow", alg.carrier, rows)))

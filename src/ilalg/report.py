@@ -4,12 +4,16 @@ Machine format: one record per line, four fields joined by single
 semicolons: KIND;label;witness-elements;detail. Witness elements are
 comma-joined; element names never contain ',' or ';' (the parser forbids
 them), and details are composed without semicolons.
+
+Both renderings are line-local: each record is one line of its own, with
+no alignment across lines, so the renderings of consecutive slices of a
+document, joined by a newline, are the rendering of the whole.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import VerificationReport
+from .core import Violation
 
 
 class ReportLine(NamedTuple):
@@ -58,12 +62,9 @@ class ReportDocument(NamedTuple):
     def add(self, kind: str, label: str, witness=(), detail: str = "") -> None:
         self.lines.append(ReportLine(kind, label, tuple(witness), detail))
 
-    def extend_violations(self, report: VerificationReport) -> None:
-        for v in report.violations:
-            self.add(
-                "VIOLATION", v.law, v.witness,
-                f"expected {v.expected} | found {v.found}",
-            )
+    def add_violation(self, v: Violation) -> None:
+        self.lines.append(ReportLine("VIOLATION", v.law, v.witness,
+                                     f"expected {v.expected} | found {v.found}"))
 
     def render(self, machine: bool = False) -> str:
         if machine:

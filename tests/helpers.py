@@ -102,6 +102,18 @@ def bool2_power(k):
     return alg
 
 
+def star_tampered(doc, cells, seed):
+    """`doc` with `cells` distinct star cells, drawn by `seed`, each set to
+    another element; order and arrow rows are kept."""
+    n = len(doc.elements)
+    rows = {e: list(row) for e, row in doc.star_rows.items()}
+    rng = random.Random(seed)
+    for cell in rng.sample(range(n * n), cells):
+        row = rows[doc.elements[cell // n]]
+        row[cell % n] = rng.choice([e for e in doc.elements if e != row[cell % n]])
+    return doc._replace(star_rows=rows)
+
+
 def oracle_model(carrier, order, star, unit, arrow=None):
     """Oracle model of raw index-based inputs, as `assemble_algebra` takes them."""
     nm = list(carrier)

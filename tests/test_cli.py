@@ -14,6 +14,7 @@ from helpers import (
     bool2_power,
     direct_product,
     godel_chain,
+    star_tampered,
     sugihara_chain,
 )
 from ilalg import cli
@@ -39,6 +40,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+@pytest.fixture(scope="module")
+def bool2_6(tmp_path_factory):
+    """Files of bool2^6 ("valid") and of bool2^6 with 20 star cells changed
+    ("bad20", seeded), whose check --lenient report has 13,932 records."""
+    doc = document_of(bool2_power(6), "bool2-6")
+    folder = tmp_path_factory.mktemp("bool2-6")
+    docs = {"valid": doc, "bad20": star_tampered(doc._replace(name="bool2-6-bad20"), 20, 20)}
+    for label, d in docs.items():
+        (folder / f"{label}.alg").write_text(render_spec(d))
+    return {label: str(folder / f"{label}.alg") for label in docs}
 
 
 def test_check_valid_fixture_exits_zero(capsys):
@@ -343,21 +356,69 @@ def test_derive_arrow_refuses_law_broken_algebra(capsys):
     assert not any(l.kind == "TABLE" for l in lines)
 
 
-def test_closed_stdout_exits_three_without_traceback(tmp_path):
-    # corrupted star cells give a lenient machine report of about 450 kB,
-    # far more than a pipe holds, so the writer meets the closed end
-    alg = direct_product(algebra_of("chain6lo"), algebra_of("wide7-corrected"))
-    doc = document_of(alg, "corrupted")
-    for i in range(3, 40, 3):
-        row = doc.star_rows[alg.carrier[i]]
-        row[i] = alg.carrier[-1] if row[i] == alg.carrier[0] else alg.carrier[0]
-    source = tmp_path / "corrupted.alg"
-    source.write_text(render_spec(doc))
+class _Writes:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _streamed(monkeypatch, *argv):
+    """Exit code, the writes to stdout, and every record rendered."""
+    records = []
+    render = ReportDocument.render
+
+    def recording(self, machine=False):
+        records.extend(self.lines)
+        return render(self, machine)
+
+    stdout = _Writes()
+    with monkeypatch.context() as patch:
+        patch.setattr(ReportDocument, "render", recording)
+        patch.setattr(sys, "stdout", stdout)
+        code = main(list(argv))
+    return code, stdout.writes, records
+
+
+@pytest.mark.parametrize("source, argv, expected", [
+    ("bad20", ["check"], 1),
+    ("bad20", ["check", "--machine"], 1),
+    ("bad20", ["check", "--lenient"], 1),
+    ("bad20", ["check", "--lenient", "--machine"], 1),
+    ("bad20", ["filters"], 1),
+    ("bad20", ["quotient", "--filter=1.1.1.1.1.1"], 1),
+    ("bad20", ["derive-arrow"], 1),  # its star has no residual
+    ("valid", ["derive-arrow", "--machine"], 0),
+    # the unit is the top, so its upset is {top}: 64 blocks
+    ("valid", ["quotient", "--machine", "--filter=1.1.1.1.1.1"], 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_report_is_written_in_bounded_slices(monkeypatch, bool2_6, source, argv, expected):
+    command, *flags = argv
+    code, writes, records = _streamed(monkeypatch, command, bool2_6[source], *flags)
+    assert code == expected
+    # the writes add up to the whole document's rendering, a record a line
+    assert "".join(writes) == ReportDocument(records).render("--machine" in flags) + "\n"
+    sizes = [w.count("\n") for w in writes]
+    assert sum(sizes) == len(records)
+    assert max(sizes) <= cli.SLICE
+
+
+@pytest.mark.parametrize("flags", [["--machine"], []], ids=["machine", "human"])
+def test_closed_stdout_exits_three_without_traceback(bool2_6, flags):
+    # a lenient report of 2.3-2.5 MB in many writes, far more than a pipe
+    # holds, so a later write meets the closed end
     proc = subprocess.Popen(
-        [sys.executable, "-m", "ilalg", "check", str(source), "--lenient", "--machine"],
+        [sys.executable, "-m", "ilalg", "check", bool2_6["bad20"], "--lenient", *flags],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
-    assert proc.stdout.readline().startswith(b"VERDICT;")
+    assert proc.stdout.readline().startswith(b"VERDICT")
     proc.stdout.close()
     stderr = proc.stderr.read()
     proc.stderr.close()

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import VALID_FIXTURES, algebra_of, doc_of, report_of
 from ilalg import (
@@ -69,3 +71,23 @@ def test_report_documents_never_share_lines():
     first.add("NOTE", "only-here")
     assert first.lines is not second.lines
     assert second.lines == [] and len(first.lines) == 1
+
+
+# Report fields: the machine format forbids ';' in every field and ',' in a
+# witness element; anything else, newlines included, may appear.
+_FIELD = st.text(max_size=12).map(lambda s: s.replace(";", ""))
+_ELEMENT = _FIELD.map(lambda s: s.replace(",", ""))
+_LINE = st.builds(ReportLine, _FIELD, _FIELD,
+                  st.lists(_ELEMENT, max_size=3).map(tuple), _FIELD)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_LINE, min_size=2, max_size=12), data=st.data())
+def test_render_is_line_local(lines, data):
+    # The CLI writes a report in slices as it is made; the output is the
+    # whole document's rendering because each record renders on its own.
+    k = data.draw(st.integers(min_value=1, max_value=len(lines) - 1))
+    head, tail = ReportDocument(lines[:k]), ReportDocument(lines[k:])
+    for machine in (False, True):
+        whole = ReportDocument(lines).render(machine)
+        assert head.render(machine) + "\n" + tail.render(machine) == whole
