@@ -57,19 +57,38 @@ class ReportLine(NamedTuple):
 
 
 class ReportDocument(NamedTuple):
-    lines: list[ReportLine]  # no default: one list would serve every document
+    # A VIOLATION record is held as its `Violation`, formatted only by
+    # render. No default: one list would serve every document.
+    lines: list[ReportLine | Violation]
 
     def add(self, kind: str, label: str, witness=(), detail: str = "") -> None:
         self.lines.append(ReportLine(kind, label, tuple(witness), detail))
 
     def add_violation(self, v: Violation) -> None:
-        self.lines.append(ReportLine("VIOLATION", v.law, v.witness,
-                                     f"expected {v.expected} | found {v.found}"))
+        self.lines.append(v)
 
     def render(self, machine: bool = False) -> str:
-        if machine:
-            return "\n".join(line.machine() for line in self.lines)
-        return "\n".join(line.human() for line in self.lines)
+        """The records, one a line. A `Violation` renders as
+        ReportLine("VIOLATION", law, witness, "expected E | found F") would,
+        formatted straight from its fields."""
+        out = []
+        for r in self.lines:
+            if type(r) is not Violation:
+                out.append(r.machine() if machine else r.human())
+                continue
+            law, witness, expected, found = r
+            if machine:
+                wit = ",".join(witness)
+                line = f"VIOLATION;{law};{wit};expected {expected} | found {found}"
+                if line.count(";") != 3 or witness and wit.count(",") >= len(witness):
+                    # a ';' in a field or a ',' in an element: raise as ReportLine does
+                    ReportLine("VIOLATION", law, witness,
+                               f"expected {expected} | found {found}").machine()
+            else:
+                wit = f"{'(' + ', '.join(witness) + ')':<18} " if witness else ""
+                line = f"VIOLATION {law:<26} {wit}expected {expected} | found {found}".rstrip()
+            out.append(line)
+        return "\n".join(out)
 
 
 def parse_machine(text: str) -> ReportDocument:

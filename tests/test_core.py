@@ -664,6 +664,63 @@ def test_monotonicity_witness_on_erratic_chain():
     assert ("a", "a", "a", "1") in laws["star-monotone"]
 
 
+
+# The monotonicity identities against plain loops over x <= x1 and y <= y1,
+# the domain of the sweep: bool2^6 and the chain L32, each with three seeded
+# star cells changed, with three arrow cells changed, or with its order made
+# a relation that is not a partial order (a two-cycle and an element not
+# below itself) and one star and one arrow cell changed.
+MONOTONE_BASES = {"bool2^6": lambda: bool2_power(6), "L32": lambda: lukasiewicz_chain(32)}
+MONOTONE_CASES = [
+    f"{base}/{change}" for base in MONOTONE_BASES for change in ("star", "arrow", "order")
+]
+
+
+def monotone_case(case):
+    """A tampered copy of a base algebra, as `MONOTONE_CASES` names it."""
+    source, change = case.split("/")
+    alg = MONOTONE_BASES[source]()
+    n, rng = alg.n, random.Random(case)
+    tables = {"star": [list(r) for r in alg.star_table],
+              "arrow": [list(r) for r in alg.arrow_table]}
+    le = [list(r) for r in alg.leq_table]
+    cells = [(change, 3)] if change != "order" else [("star", 1), ("arrow", 1)]
+    for table, count in cells:
+        for cell in rng.sample(range(n * n), count):
+            row = tables[table][cell // n]
+            row[cell % n] = rng.choice([v for v in range(n) if v != row[cell % n]])
+    if change == "order":
+        i, j = rng.choice([(i, j) for i in range(n) for j in range(n) if i != j and le[i][j]])
+        le[j][i] = True
+        k = rng.randrange(n)
+        le[k][k] = False
+    return alg._replace(
+        leq_table=tuple(map(tuple, le)),
+        star_table=tuple(map(tuple, tables["star"])),
+        arrow_table=tuple(map(tuple, tables["arrow"])),
+    )
+
+
+@pytest.mark.parametrize("case", MONOTONE_CASES)
+def test_monotonicity_witnesses_equal_plain_loops(case):
+    alg = monotone_case(case)
+    le, st, ar, nm, rn = alg.leq_table, alg.star_table, alg.arrow_table, alg.carrier, range(alg.n)
+    above = [[j for j in rn if le[i][j]] for i in rn]
+    star, arrow = [], []
+    for x, y in itertools.product(rn, repeat=2):
+        for x1 in above[x]:
+            for y1 in above[y]:
+                if not le[st[x][y]][st[x1][y1]]:
+                    star.append((nm[x], nm[y], nm[x1], nm[y1]))
+                if not le[ar[x1][y]][ar[x][y1]]:
+                    arrow.append((nm[x], nm[y], nm[x1], nm[y1]))
+    laws = check_identities(alg).by_law()
+    assert laws.get("star-monotone", []) == star
+    assert laws.get("arrow-antitone", []) == arrow
+    if case.endswith("/order"):
+        assert not check_lattice(alg).ok
+    assert star if not case.endswith("/arrow") else arrow
+
 def test_operation_accessors():
     alg = algebra_of("chain6lo")
     c, d, top = alg.index("c"), alg.index("d"), alg.index("top")

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import VALID_FIXTURES, algebra_of, doc_of, report_of
 from ilalg import (
     ReportDocument,
     ReportLine,
+    Violation,
     check_distributive_quotient,
     check_idempotent_implies_implicative,
     classify_all,
@@ -77,17 +78,67 @@ def test_report_documents_never_share_lines():
 # witness element; anything else, newlines included, may appear.
 _FIELD = st.text(max_size=12).map(lambda s: s.replace(";", ""))
 _ELEMENT = _FIELD.map(lambda s: s.replace(",", ""))
-_LINE = st.builds(ReportLine, _FIELD, _FIELD,
-                  st.lists(_ELEMENT, max_size=3).map(tuple), _FIELD)
+_WITNESS = st.lists(_ELEMENT, max_size=3).map(tuple)
+_LINE = st.builds(ReportLine, _FIELD, _FIELD, _WITNESS, _FIELD)
+_VIOLATION = st.builds(Violation, _FIELD, _WITNESS, _FIELD, _FIELD)
+
+
+def _as_line(v):
+    """The ReportLine a violation's record stands for."""
+    return ReportLine("VIOLATION", v.law, v.witness,
+                      f"expected {v.expected} | found {v.found}")
+
+
+def _document(records):
+    """A document of report lines and violations, the latter added as the
+    CLI adds them."""
+    doc = ReportDocument([])
+    for r in records:
+        if isinstance(r, Violation):
+            doc.add_violation(r)
+        else:
+            doc.lines.append(r)
+    return doc
 
 
 @settings(max_examples=200, deadline=None)
-@given(lines=st.lists(_LINE, min_size=2, max_size=12), data=st.data())
+@given(lines=st.lists(_LINE | _VIOLATION, min_size=2, max_size=12), data=st.data())
 def test_render_is_line_local(lines, data):
     # The CLI writes a report in slices as it is made; the output is the
     # whole document's rendering because each record renders on its own.
     k = data.draw(st.integers(min_value=1, max_value=len(lines) - 1))
-    head, tail = ReportDocument(lines[:k]), ReportDocument(lines[k:])
+    head, tail = _document(lines[:k]), _document(lines[k:])
     for machine in (False, True):
-        whole = ReportDocument(lines).render(machine)
+        whole = _document(lines).render(machine)
         assert head.render(machine) + "\n" + tail.render(machine) == whole
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=_VIOLATION)
+@example(v=Violation("star-monotone", ("a", "b", "c", "d"), "a*b <= c*d", "fails"))
+@example(v=Violation("order-reflexive", (), "x <= x", "fails"))
+@example(v=Violation("star-unit", ("x  ",), "x  ", "y  "))
+@example(v=Violation("a-law-name-longer-than-the-column", ("a-long-element-name",), "", ""))
+@example(v=Violation("", ("",), " ", "\t"))
+def test_violation_renders_as_its_report_line(v):
+    line = _as_line(v)
+    assert _document([v]).render() == line.human()
+    assert _document([v]).render(machine=True) == line.machine()
+
+
+@pytest.mark.parametrize("v", [
+    Violation("a;law", ("x",), "e", "f"),
+    Violation("law", ("x", "y;z"), "e", "f"),
+    Violation("law", ("x", "y,z"), "e", "f"),
+    Violation("law", ("x,y",), "e", "f"),
+    Violation("law", ("x;y", "z,w"), "e", "f"),
+    Violation("law", (), "e;1", "f"),
+    Violation("law", ("x",), "e", "f;1"),
+])
+def test_violation_with_a_forbidden_character_raises_as_its_report_line(v):
+    with pytest.raises(ValueError) as expected:
+        _as_line(v).machine()
+    with pytest.raises(ValueError) as got:
+        _document([v]).render(machine=True)
+    assert str(got.value) == str(expected.value)
+    assert _document([v]).render() == _as_line(v).human()
