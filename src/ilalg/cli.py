@@ -4,9 +4,12 @@ Commands: check, filters, quotient, derive-arrow. Exit codes: 0 all pass,
 1 violations or failed preconditions, 2 parse error, 3 usage error or a
 stdout closed before the report was written.
 
-A report is written as it is made: each section in one write when it
-finishes, and a list of records (violations, table rows) SLICE records at
-a time, so memory grows with the violations found, not with the report's
+Each command returns its exit code, its records (`ReportLine`s and
+`Violation`s) and the text that follows them: the pasted quotient document
+or the derived `arrow` rows. `_main` writes the records SLICE at a time, so
+a report of k records takes ceil(k / SLICE) writes. Long record lists
+(violations of the identities, machine tables) are made only as they are
+reached, so memory grows with the violations found, not with the report's
 text.
 """
 from __future__ import annotations
@@ -14,10 +17,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain, islice
 
 from .core import build_algebra, check_identities
 from .errors import BuildError, NotAFilterError, NotResiduatedError, ParseError
-from .report import ReportDocument
+from .report import ReportDocument, ReportLine
 from .specfile import _named_rows, _row_lines, document_of, parse_spec, render_spec
 
 # `filters` and `quotient` are imported by the commands that run them, so
@@ -28,8 +32,8 @@ EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 3
 
-# Records per write of a long list. A write is a system call when stdout is
-# unbuffered, so records are not written one at a time.
+# Records per write, and the most records held at once. A write is a system
+# call when stdout is unbuffered, so records are not written one at a time.
 SLICE = 1024
 
 # Commands that refuse an algebra whose lenient build broke a law.
@@ -104,18 +108,14 @@ def _main(argv) -> int:
         return EXIT_PARSE
     if args.command == "derive-arrow":
         doc = doc._replace(arrow_rows=None)
-    out = ReportDocument([])
+    code, tail = EXIT_VIOLATIONS, ""
     try:
         alg, report = build_algebra(doc, mode="lenient")
     except NotResiduatedError as exc:
-        for x, z in exc.pairs:
-            out.add("ERROR", "not-residuated",
-                    (doc.elements[x], doc.elements[z]),
-                    "no greatest solution w of x*w <= z")
-            if len(out.lines) >= SLICE:
-                _emit(out, args.machine)
+        records = (ReportLine("ERROR", "not-residuated", (doc.elements[x], doc.elements[z]),
+                              "no greatest solution w of x*w <= z") for x, z in exc.pairs)
     except BuildError as exc:
-        out.add("ERROR", "build", (), str(exc))
+        records = [ReportLine("ERROR", "build", (), str(exc))]
     else:
         refusal = None if alg.valid else _NEEDS_VALID.get(args.command)
         if refusal is None:
@@ -125,80 +125,67 @@ def _main(argv) -> int:
                 "quotient": _cmd_quotient,
                 "derive-arrow": _cmd_derive_arrow,
             }[args.command]
-            return command(doc, alg, report, out, args)
-        out.add("ERROR", args.command, (), refusal)
-        _emit_violations(out, report.violations, args.machine)
-    _emit(out, args.machine)
-    return EXIT_VIOLATIONS
+            code, records, tail = command(doc, alg, report, args)
+        else:
+            records = chain([ReportLine("ERROR", args.command, (), refusal)],
+                            report.violations)
+    # The one place records reach stdout: SLICE records a write.
+    records = iter(records)
+    while block := list(islice(records, SLICE)):
+        sys.stdout.write(ReportDocument(block).render(args.machine) + "\n")
+    if tail:
+        sys.stdout.write(tail)
+    return code
 
 
-def _emit(out: ReportDocument, machine: bool) -> None:
-    """Write the records of `out` in one write and clear it."""
-    if out.lines:
-        sys.stdout.write(out.render(machine) + "\n")
-        out.lines.clear()
-
-
-def _emit_violations(out, violations, machine) -> None:
-    """Write what `out` holds, then a VIOLATION record per violation,
-    SLICE records at a time."""
-    for v in violations:
-        out.add_violation(v)
-        if len(out.lines) >= SLICE:
-            _emit(out, machine)
-    _emit(out, machine)
-
-
-def _emit_table(out, opname, alg, table) -> None:
+def _table(opname, alg, table):
     """A machine TABLE record per cell of an index table of `alg`,
-    row-major, written a row at a time."""
+    row-major, made as it is reached."""
     nm = alg.carrier
     for i, row in enumerate(table):
         for j, v in enumerate(row):
-            out.add("TABLE", opname, (nm[i], nm[j]), nm[v])
-        _emit(out, True)
+            yield ReportLine("TABLE", opname, (nm[i], nm[j]), nm[v])
 
 
-def _cmd_check(doc, alg, report, out, args) -> int:
-    for label, part in report.suites:
-        out.add("VERDICT", label, (), part.status)
-        _emit_violations(out, part.violations, args.machine)
-    _emit_violations(out, (v for v in report.violations if v.law == "top-declared"),
-                     args.machine)
-    if alg.valid:
-        # Every identity is a theorem of the laws that alg.valid certifies;
-        # the proofs are in the docstring of ilalg.core.
-        out.add("VERDICT", "identities", (), "pass")
-    elif args.lenient:
-        ident = check_identities(alg)
-        out.add("VERDICT", "identities", (), ident.status)
-        _emit_violations(out, ident.violations, args.machine)
-    out.add("VERDICT", "overall", (), report.status)
-    _emit(out, args.machine)
-    return EXIT_OK if report.ok else EXIT_VIOLATIONS
+def _cmd_check(doc, alg, report, args):
+    def records():
+        for label, part in report.suites:
+            yield ReportLine("VERDICT", label, (), part.status)
+            yield from part.violations
+        yield from (v for v in report.violations if v.law == "top-declared")
+        if alg.valid:
+            # Every identity is a theorem of the laws that alg.valid
+            # certifies; the proofs are in the docstring of ilalg.core.
+            yield ReportLine("VERDICT", "identities", (), "pass")
+        elif args.lenient:
+            ident = check_identities(alg)
+            yield ReportLine("VERDICT", "identities", (), ident.status)
+            yield from ident.violations
+        yield ReportLine("VERDICT", "overall", (), report.status)
+
+    return (EXIT_OK if report.ok else EXIT_VIOLATIONS), records(), ""
 
 
-def _cmd_filters(doc, alg, report, out, args) -> int:
+def _cmd_filters(doc, alg, report, args):
     from .filters import classify_all, enumerate_filters
 
     if args.classify:
         rows = classify_all(alg)
-        for row in rows:
-            detail = " ".join(
+        records = [
+            ReportLine("FILTER", "classified", row.member_names(), " ".join(
                 f"{name}={'yes' if flag else 'no'}"
                 for name, flag in row.flags._asdict().items()
-            )
-            out.add("FILTER", "classified", row.member_names(), detail)
+            ))
+            for row in rows
+        ]
     else:
         rows = enumerate_filters(alg)
-        for row in rows:
-            out.add("FILTER", "filter", row.member_names(), "")
-    out.add("VERDICT", "filters", (), f"count={len(rows)}")
-    _emit(out, args.machine)
-    return EXIT_OK
+        records = [ReportLine("FILTER", "filter", row.member_names()) for row in rows]
+    records.append(ReportLine("VERDICT", "filters", (), f"count={len(rows)}"))
+    return EXIT_OK, records, ""
 
 
-def _cmd_quotient(doc, alg, report, out, args) -> int:
+def _cmd_quotient(doc, alg, report, args):
     from .filters import FilterCheck, describe_filter_failure
     from .quotient import (
         check_affine_quotient,
@@ -213,30 +200,23 @@ def _cmd_quotient(doc, alg, report, out, args) -> int:
         members = [alg.index(m) for m in member_names]
     except KeyError as exc:
         print(f"bad --filter value: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, (), ""
     try:
         result = quotient_algebra(alg, members)
     except NotAFilterError as exc:
         check = FilterCheck(False, exc.condition, exc.witness)
-        out.add("VIOLATION", check.condition, alg.names(check.witness),
-                "not a filter: " + describe_filter_failure(alg, check))
-        _emit(out, args.machine)
-        return EXIT_VIOLATIONS
-    for bi, blk in enumerate(result.blocks):
-        out.add("BLOCK", result.algebra.carrier[bi], alg.names(blk),
-                f"index={bi}")
-    _emit(out, args.machine)
-    if args.machine:
-        q = result.algebra
-        _emit_table(out, "star", q, q.star_table)
-        _emit_table(out, "arrow", q, q.arrow_table)
-    order_ok = check_quotient_order(alg, members)
+        return EXIT_VIOLATIONS, [ReportLine(
+            "VIOLATION", check.condition, alg.names(check.witness),
+            "not a filter: " + describe_filter_failure(alg, check))], ""
+    q = result.algebra
+    blocks = [ReportLine("BLOCK", q.carrier[bi], alg.names(blk), f"index={bi}")
+              for bi, blk in enumerate(result.blocks)]
     checks = {
-        "induced-algebra": result.algebra.valid,
-        "quotient-order": order_ok,
+        "induced-algebra": q.valid,
+        "quotient-order": check_quotient_order(alg, members),
     }
-    for label, ok in checks.items():
-        out.add("VERDICT", label, (), "pass" if ok else "fail")
+    verdicts = [ReportLine("VERDICT", label, (), "pass" if ok else "fail")
+                for label, ok in checks.items()]
     for label, theorem in (
         ("distributive-quotient", check_distributive_quotient(alg, members)),
         ("linear-quotient", check_linear_quotient(alg, members)),
@@ -247,23 +227,20 @@ def _cmd_quotient(doc, alg, report, out, args) -> int:
             f"conclusion={'yes' if theorem.conclusion else 'no'} "
             f"{'pass' if theorem.holds else 'fail'}"
         )
-        out.add("VERDICT", label, (), detail)
+        verdicts.append(ReportLine("VERDICT", label, (), detail))
         checks[label] = theorem.holds
     if len(result.blocks) == alg.n:
-        out.add("NOTE", "quotient", (),
-                "all blocks are singletons, the quotient matches the source")
-    _emit(out, args.machine)
-    if not args.machine:
-        print()
-        print(render_spec(document_of(result.algebra, doc.name + "-quotient")),
-              end="")
-    return EXIT_OK if all(checks.values()) else EXIT_VIOLATIONS
-
-
-def _cmd_derive_arrow(doc, alg, report, out, args) -> int:
+        verdicts.append(ReportLine("NOTE", "quotient", (),
+                                   "all blocks are singletons, the quotient matches the source"))
+    code = EXIT_OK if all(checks.values()) else EXIT_VIOLATIONS
     if args.machine:
-        _emit_table(out, "arrow", alg, alg.arrow_table)
-    else:
-        rows = _named_rows(alg, alg.arrow_table)
-        print("\n".join(_row_lines("arrow", alg.carrier, rows)))
-    return EXIT_OK
+        tables = chain(_table("star", q, q.star_table), _table("arrow", q, q.arrow_table))
+        return code, chain(blocks, tables, verdicts), ""
+    return code, blocks + verdicts, "\n" + render_spec(document_of(q, doc.name + "-quotient"))
+
+
+def _cmd_derive_arrow(doc, alg, report, args):
+    if args.machine:
+        return EXIT_OK, _table("arrow", alg, alg.arrow_table), ""
+    rows = _named_rows(alg, alg.arrow_table)
+    return EXIT_OK, (), "\n".join(_row_lines("arrow", alg.carrier, rows)) + "\n"

@@ -55,6 +55,17 @@ def bool2_6(tmp_path_factory):
     return {label: str(folder / f"{label}.alg") for label in docs}
 
 
+@pytest.fixture(scope="module")
+def over_cap(tmp_path_factory):
+    """A file of 65 elements, one more than the carrier cap."""
+    names = [f"e{i}" for i in range(65)]
+    lines = ["algebra big65", "elements " + " ".join(names), "unit e0"]
+    lines += [f"star {x} : " + " ".join(names) for x in names]
+    source = tmp_path_factory.mktemp("over-cap") / "big65.alg"
+    source.write_text("\n".join(lines) + "\n")
+    return str(source)
+
+
 def test_check_valid_fixture_exits_zero(capsys):
     code, out = run(capsys, "check", fx("chain6lo"))
     assert code == 0
@@ -273,14 +284,9 @@ def test_thousand_element_file_is_refused_without_hanging(capsys, tmp_path):
     assert elapsed < 5.0
 
 
-def test_over_cap_file_machine_report_round_trips(capsys, tmp_path):
+def test_over_cap_file_machine_report_round_trips(capsys, over_cap):
     # The refusal is printed as a report field, so it must hold no ';'.
-    names = [f"e{i}" for i in range(65)]
-    lines = ["algebra big65", "elements " + " ".join(names), "unit e0"]
-    lines += [f"star {x} : " + " ".join(names) for x in names]
-    source = tmp_path / "big65.alg"
-    source.write_text("\n".join(lines) + "\n")
-    code, out = run(capsys, "check", str(source), "--machine")
+    code, out = run(capsys, "check", over_cap, "--machine")
     assert code == 1
     [line] = parse_machine(out).lines
     assert (line.kind, line.label, line.witness) == ("ERROR", "build", ())
@@ -396,19 +402,35 @@ def _streamed(monkeypatch, *argv):
     ("bad20", ["filters"], 1),
     ("bad20", ["quotient", "--filter=1.1.1.1.1.1"], 1),
     ("bad20", ["derive-arrow"], 1),  # its star has no residual
+    ("valid", ["check"], 0),
     ("valid", ["derive-arrow", "--machine"], 0),
+    ("valid", ["filters", "--classify", "--machine"], 0),
     # the unit is the top, so its upset is {top}: 64 blocks
     ("valid", ["quotient", "--machine", "--filter=1.1.1.1.1.1"], 0),
+    ("valid", ["quotient", "--filter=1.1.1.1.1.1"], 0),
+    # {bot, top} is not upward closed
+    ("valid", ["quotient", "--filter=bot.bot.bot.bot.bot.bot,1.1.1.1.1.1"], 1),
+    ("over-cap", ["check", "--machine"], 1),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
-def test_report_is_written_in_bounded_slices(monkeypatch, bool2_6, source, argv, expected):
+def test_report_is_written_in_bounded_slices(monkeypatch, bool2_6, over_cap, source, argv,
+                                             expected):
     command, *flags = argv
-    code, writes, records = _streamed(monkeypatch, command, bool2_6[source], *flags)
+    path = over_cap if source == "over-cap" else bool2_6[source]
+    code, writes, records = _streamed(monkeypatch, command, path, *flags)
     assert code == expected
-    # the writes add up to the whole document's rendering, a record a line
+    if command == "quotient" and "--machine" not in flags and code == 0:
+        # the pasted quotient document follows the records, in a write of its own
+        alg = bool2_power(6)
+        members = [alg.index(m) for m in flags[-1].removeprefix("--filter=").split(",")]
+        q = quotient_algebra(alg, members).algebra
+        assert writes.pop() == "\n" + render_spec(document_of(q, "bool2-6-quotient"))
+    # the writes add up to the whole document's rendering, a record a line,
+    # and k records take ceil(k / SLICE) writes
     assert "".join(writes) == ReportDocument(records).render("--machine" in flags) + "\n"
     sizes = [w.count("\n") for w in writes]
     assert sum(sizes) == len(records)
-    assert max(sizes) <= cli.SLICE
+    assert len(writes) == -(-len(records) // cli.SLICE)
+    assert all(0 < size <= cli.SLICE for size in sizes)
 
 
 @pytest.mark.parametrize("flags, digest", [
