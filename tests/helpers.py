@@ -5,7 +5,7 @@ import random
 from functools import lru_cache
 
 import oracle
-from ilalg import assemble_algebra, build_algebra, parse_spec
+from ilalg import assemble_algebra, build_algebra, document_of, parse_spec
 from ilalg.fixtures import expectations, fixture_names, fixture_text
 
 ALL_FIXTURES = fixture_names()
@@ -102,16 +102,37 @@ def bool2_power(k):
     return alg
 
 
-def star_tampered(doc, cells, seed):
-    """`doc` with `cells` distinct star cells, drawn by `seed`, each set to
-    another element; order and arrow rows are kept."""
+def star_tampered(doc, cells, seed, table="star_rows"):
+    """`doc` with `cells` distinct cells of one table (star, or arrow with
+    table="arrow_rows"), drawn by `seed`, each set to another element; the
+    order and the other table are kept."""
     n = len(doc.elements)
-    rows = {e: list(row) for e, row in doc.star_rows.items()}
+    rows = {e: list(row) for e, row in getattr(doc, table).items()}
     rng = random.Random(seed)
     for cell in rng.sample(range(n * n), cells):
         row = rows[doc.elements[cell // n]]
         row[cell % n] = rng.choice([e for e in doc.elements if e != row[cell % n]])
-    return doc._replace(star_rows=rows)
+    return doc._replace(**{table: rows})
+
+
+def rot_star(k):
+    """The document of bool2^k with x*y = rot(x) meet y, where rot moves
+    each coordinate one place to the left, and no arrow rows.
+
+    Meet with a fixed element is residuated, so the residual is derived,
+    but the star is not commutative and top is a unit on the left only:
+    `check --lenient` lists 6,036 records for k = 4, 54,400 for k = 5 and
+    478,096 for k = 6.
+    """
+    alg = bool2_power(k)
+    nm, meet = alg.carrier, alg.meet_table
+
+    def rot(name):
+        coords = name.split(".")
+        return alg.index(".".join(coords[1:] + coords[:1]))
+
+    star = {x: [nm[m] for m in meet[rot(x)]] for x in nm}
+    return document_of(alg, f"rot-star-bool2-{k}")._replace(star_rows=star, arrow_rows=None)
 
 
 def oracle_model(carrier, order, star, unit, arrow=None):

@@ -31,9 +31,11 @@ from helpers import (
     VALID_FIXTURES,
     algebra_of,
     bool2_power,
+    direct_product,
     doc_of,
     godel_chain,
     lukasiewicz_chain,
+    rot_star,
     star_tampered,
     sugihara_chain,
     upset_of_unit,
@@ -68,9 +70,20 @@ def _inputs():
         subsets = (upset_of_unit(alg), filters[len(filters) // 2].members(),
                    [alg.bottom, alg.unit])  # the last is not upward closed
         inputs[label] = (render_spec(document_of(alg, label)), [alg.names(s) for s in subsets])
+    # Broken builds, for the violation path: check lists their violations,
+    # and the other commands refuse them.
     bool2_6 = bool2_power(6)
-    bad20 = star_tampered(document_of(bool2_6, "bool2-6-bad20"), 20, 20)
-    inputs["bool2-6-bad20"] = (render_spec(bad20), [bool2_6.names(upset_of_unit(bool2_6))])
+    product = direct_product(algebra_of("chain6lo"), algebra_of("pentagon-corrected"))
+    for label, source, doc in (
+        ("bool2-6-bad20", bool2_6, star_tampered(document_of(bool2_6, "x"), 20, 20)),
+        ("bool2-6-arrow1", bool2_6, star_tampered(document_of(bool2_6, "x"), 1, 1, "arrow_rows")),
+        ("chain6lo-pentagon-star1", product, star_tampered(document_of(product, "x"), 1, 1)),
+        ("chain6lo-pentagon-arrow1", product,
+         star_tampered(document_of(product, "x"), 1, 1, "arrow_rows")),
+        ("rot-star-bool2-4", bool2_power(4), rot_star(4)),
+    ):
+        inputs[label] = (render_spec(doc._replace(name=label)),
+                         [source.names(upset_of_unit(source))])
     names = [f"e{i}" for i in range(65)]
     inputs["over-cap-65"] = ("\n".join(
         ["algebra big65", "elements " + " ".join(names), "unit e0"]
