@@ -77,12 +77,20 @@ Two checks compare against the order instead of a table row:
   x1 for the up-list of x. The ANDs run over every pair of a block, not
   over covers, which span an upset only in a transitive relation, so the
   blocks are exact on any relation.
-Both collect their failing tuples and sort them, which restores the
-lexicographic order of the sweep.
+Arrow-transitive sorts its failing (x, y) pairs; the monotonicity
+identities list the witnesses of each (x, y) in turn, sorted, which
+restores the lexicographic order of the sweep and holds at most n^2 blocks.
+
+Each suite is a generator of its violations in that order. A build pulls
+only the first of each suite to decide `valid`, and its report resumes
+the suites when read, so a report of any length is written in bounded
+memory.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import reduce
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Literal, NamedTuple
 
 from .errors import BuildError, LawViolationError, NotResiduatedError
@@ -105,7 +113,8 @@ class Violation(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    violations: tuple[Violation, ...] = ()
+    # A tuple, or for a build report a `_Violations` made as it is read.
+    violations: Sequence[Violation] = ()
     # A build report also keeps each core suite's own report, as
     # (label, report) pairs in the order the suites ran.
     suites: tuple[tuple[str, "VerificationReport"], ...] = ()
@@ -123,6 +132,67 @@ class VerificationReport(NamedTuple):
         for v in self.violations:
             out.setdefault(v.law, []).append(v.witness)
         return out
+
+
+class _Run:
+    """One suite on one immutable algebra. Its first violation is pulled at
+    once and settles the verdict; the first iteration resumes that
+    generator, and each later one runs the suite again."""
+
+    __slots__ = ("first", "_again", "_started")
+
+    def __init__(self, suite, *args):
+        started = suite(*args)
+        self.first = next(started, None)
+        self._again = lambda: suite(*args)
+        # A list, so that of two readers only one can pop the generator.
+        self._started = [chain((self.first,), started)] if self else []
+
+    def __bool__(self) -> bool:
+        return self.first is not None
+
+    def __iter__(self):
+        try:
+            return self._started.pop()
+        except IndexError:
+            return self._again() if self else iter(())
+
+
+class _Violations(Sequence):
+    """The violations of some runs in order, made as they are iterated, so
+    that reading them holds one at a time; len() and indexing hold them
+    all."""
+
+    __slots__ = ("runs", "_all")
+
+    def __init__(self, *runs: _Run):
+        self.runs, self._all = runs, None
+
+    def __iter__(self):
+        return chain.from_iterable(self.runs) if self._all is None else iter(self._all)
+
+    def __bool__(self) -> bool:
+        return any(self.runs)
+
+    def _tuple(self) -> tuple[Violation, ...]:
+        if self._all is None:
+            self._all = tuple(chain.from_iterable(self.runs))
+        return self._all
+
+    def __len__(self) -> int:
+        return len(self._tuple())
+
+    def __getitem__(self, i):
+        return self._tuple()[i]
+
+    def __eq__(self, other):
+        return self._tuple() == (other._tuple() if isinstance(other, _Violations) else other)
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
 
 
 class FiniteILAlgebra(NamedTuple):
@@ -372,14 +442,13 @@ def assemble_algebra(
     # up[i] = 1 << i (reflexive) and is Warshall's (transitive); a cycle
     # (antisymmetry) or no least[(1 << n) - 1] (least element) raised above;
     # up[lub] == up[i] & up[j] is check_lattice's join test; meets are dual.
-    suites = (
-        ("lattice", VerificationReport()),
-        ("monoid", check_monoid(alg)),
-        ("residuation", check_residuation(alg)),
+    monoid, residuation = _Run(_monoid_laws, alg), _Run(_residuation_law, alg)
+    report = VerificationReport(
+        _Violations(monoid, residuation, _Run(_top_laws, alg, declared_top)),
+        (("lattice", VerificationReport()),
+         ("monoid", VerificationReport(_Violations(monoid))),
+         ("residuation", VerificationReport(_Violations(residuation)))),
     )
-    violations = [v for _, part in suites for v in part.violations]
-    violations += _check_top(alg, declared_top).violations
-    report = VerificationReport(tuple(violations), suites)
     alg = alg._replace(valid=report.ok)
     if mode == "strict" and not report.ok:
         raise LawViolationError(report)
@@ -521,135 +590,94 @@ def _monotone_blocks(tab, near, ups, down_lanes, onehot):
 def check_lattice(alg: FiniteILAlgebra) -> VerificationReport:
     """Order axioms, least element, and correctness of the bound tables, for
     values built by hand: assembled algebras pass it by construction."""
+    return VerificationReport(tuple(_lattice_laws(alg)))
+
+
+def _lattice_laws(alg: FiniteILAlgebra):
     le, nm, n = alg.leq_table, alg.carrier, alg.n
     up, down = _order_masks(le)
-    out: list[Violation] = []
     for i in range(n):
         if not le[i][i]:
-            out.append(Violation("order-reflexive", (nm[i],), "x <= x", "fails"))
+            yield Violation("order-reflexive", (nm[i],), "x <= x", "fails")
     for i in range(n):
         for j in range(i + 1, n):
             if le[i][j] and le[j][i]:
-                out.append(
-                    Violation(
-                        "order-antisymmetric", (nm[i], nm[j]),
-                        "x <= y and y <= x only when x == y", "two-way pair",
-                    )
-                )
+                yield Violation("order-antisymmetric", (nm[i], nm[j]),
+                                "x <= y and y <= x only when x == y", "two-way pair")
     for i in range(n):
         for j in range(n):
             if not le[i][j]:
                 continue
             for k in _bits(up[j] & ~up[i]):
-                out.append(
-                    Violation(
-                        "order-transitive", (nm[i], nm[j], nm[k]),
-                        "x <= z", "x <= y <= z but not x <= z",
-                    )
-                )
+                yield Violation("order-transitive", (nm[i], nm[j], nm[k]),
+                                "x <= z", "x <= y <= z but not x <= z")
     for j in range(n):
         if not le[alg.bottom][j]:
-            out.append(
-                Violation(
-                    "least-element", (nm[alg.bottom], nm[j]),
-                    f"{nm[alg.bottom]} <= {nm[j]}", "fails",
-                )
-            )
+            yield Violation("least-element", (nm[alg.bottom], nm[j]),
+                            f"{nm[alg.bottom]} <= {nm[j]}", "fails")
     for i in range(n):
         for j in range(n):
             u = alg.join_table[i][j]
             if not (le[i][u] and le[j][u]) or up[i] & up[j] & ~up[u]:
-                out.append(
-                    Violation(
-                        "join-table", (nm[i], nm[j]),
-                        "least upper bound", nm[u],
-                    )
-                )
+                yield Violation("join-table", (nm[i], nm[j]), "least upper bound", nm[u])
             w = alg.meet_table[i][j]
             if not (le[w][i] and le[w][j]) or down[i] & down[j] & ~down[w]:
-                out.append(
-                    Violation(
-                        "meet-table", (nm[i], nm[j]),
-                        "greatest lower bound", nm[w],
-                    )
-                )
-    return VerificationReport(tuple(out))
+                yield Violation("meet-table", (nm[i], nm[j]), "greatest lower bound", nm[w])
 
 
 def check_monoid(alg: FiniteILAlgebra) -> VerificationReport:
     """Commutativity over all pairs, associativity over all triples, and the
     unit law in both argument positions."""
+    return VerificationReport(tuple(_monoid_laws(alg)))
+
+
+def _monoid_laws(alg: FiniteILAlgebra):
     st, nm, n = alg.star_table, alg.carrier, alg.n
     rows, cols, lookups = _rows(st), _rows(zip(*st)), _lookups(st)
-    out: list[Violation] = []
     for i in range(n):
         for j in _mismatches(rows[i], cols[i], i + 1):
-            out.append(
-                Violation(
-                    "star-commutative", (nm[i], nm[j]),
-                    f"{nm[i]}*{nm[j]} == {nm[j]}*{nm[i]}",
-                    f"{nm[st[i][j]]} vs {nm[st[j][i]]}",
-                )
-            )
+            yield Violation("star-commutative", (nm[i], nm[j]),
+                            f"{nm[i]}*{nm[j]} == {nm[j]}*{nm[i]}",
+                            f"{nm[st[i][j]]} vs {nm[st[j][i]]}")
     # Over z: found (x*y)*z and expected x*(y*z).
-    out += [
-        Violation(
-            "star-associative", (nm[x], nm[y], nm[z]), nm[expected], nm[found]
-        )
-        for x, y, z, found, expected in _curried(st, [rows] * n, rows, lookups)
-    ]
+    for x, y, z, found, expected in _curried(st, [rows] * n, rows, lookups):
+        yield Violation("star-associative", (nm[x], nm[y], nm[z]), nm[expected], nm[found])
     u = alg.unit
     for i in range(n):
         if st[u][i] != i:
-            out.append(
-                Violation("star-unit", (nm[u], nm[i]), nm[i], nm[st[u][i]])
-            )
+            yield Violation("star-unit", (nm[u], nm[i]), nm[i], nm[st[u][i]])
     for i in range(n):
         if st[i][u] != i:
-            out.append(
-                Violation("star-unit", (nm[i], nm[u]), nm[i], nm[st[i][u]])
-            )
-    return VerificationReport(tuple(out))
+            yield Violation("star-unit", (nm[i], nm[u]), nm[i], nm[st[i][u]])
 
 
 def check_residuation(alg: FiniteILAlgebra) -> VerificationReport:
     """Both directions of the adjunction over all triples."""
+    return VerificationReport(tuple(_residuation_law(alg)))
+
+
+def _residuation_law(alg: FiniteILAlgebra):
     le, st, nm, n = alg.leq_table, alg.star_table, alg.carrier, alg.n
     le_rows, le_lookups, ar_rows = _rows(le), _lookups(le), _rows(alg.arrow_table)
     # Over z: starred x*y <= z and arrowed x <= y->z.
-    return VerificationReport(tuple(
-        Violation(
+    for x, y, z, starred, _ in _curried(st, [le_rows] * n, ar_rows, le_lookups):
+        yield Violation(
             "residuation", (nm[x], nm[y], nm[z]),
             "both directions agree",
-            f"{nm[x]}*{nm[y]} <= {nm[z]} but not "
-            f"{nm[x]} <= {nm[y]}->{nm[z]}"
+            f"{nm[x]}*{nm[y]} <= {nm[z]} but not {nm[x]} <= {nm[y]}->{nm[z]}"
             if starred
-            else f"{nm[x]} <= {nm[y]}->{nm[z]} but not "
-            f"{nm[x]}*{nm[y]} <= {nm[z]}",
+            else f"{nm[x]} <= {nm[y]}->{nm[z]} but not {nm[x]}*{nm[y]} <= {nm[z]}",
         )
-        for x, y, z, starred, _ in _curried(st, [le_rows] * n, ar_rows, le_lookups)
-    ))
 
 
-def _check_top(alg: FiniteILAlgebra, declared_top: int | None) -> VerificationReport:
+def _top_laws(alg: FiniteILAlgebra, declared_top: int | None):
     nm = alg.carrier
-    out: list[Violation] = []
     if declared_top is not None and declared_top != alg.top:
-        out.append(
-            Violation(
-                "top-declared", (nm[declared_top],),
-                f"bot->bot == {nm[alg.top]}", nm[declared_top],
-            )
-        )
+        yield Violation("top-declared", (nm[declared_top],),
+                        f"bot->bot == {nm[alg.top]}", nm[declared_top])
     for i in range(alg.n):
         if not alg.leq_table[i][alg.top]:
-            out.append(
-                Violation(
-                    "top-greatest", (nm[i],),
-                    f"{nm[i]} <= {nm[alg.top]}", "fails",
-                )
-            )
-    return VerificationReport(tuple(out))
+            yield Violation("top-greatest", (nm[i],), f"{nm[i]} <= {nm[alg.top]}", "fails")
 
 
 def check_identities(alg: FiniteILAlgebra) -> VerificationReport:
@@ -661,6 +689,10 @@ def check_identities(alg: FiniteILAlgebra) -> VerificationReport:
     runs it only on a lenient build with violations, and takes the verdict
     of a valid algebra from the proofs.
     """
+    return VerificationReport(tuple(_identity_laws(alg)))
+
+
+def _identity_laws(alg: FiniteILAlgebra):
     le, st, ar = alg.leq_table, alg.star_table, alg.arrow_table
     jn, mt, nm, n = alg.join_table, alg.meet_table, alg.carrier, alg.n
     u = alg.unit
@@ -668,36 +700,21 @@ def check_identities(alg: FiniteILAlgebra) -> VerificationReport:
     st_lookups, ar_lookups, jn_lookups = _lookups(st), _lookups(ar), _lookups(jn)
     up, down = _order_masks(le)
     ups, downs = [bytes(_bits(m)) for m in up], [bytes(_bits(m)) for m in down]
-    out: list[Violation] = []
 
     # Over z: want (x*y) join (x*z) and got x*(y join z). Row s of x's
     # outer rows is x*z joined with s, built for one x at a time.
     outers = ([row.translate(t) for t in jn_lookups] for row in st_rows)
-    out += [
-        Violation(
-            "star-distributes-join", (nm[x], nm[y], nm[z]), nm[want], nm[got]
-        )
-        for x, y, z, want, got in _curried(st, outers, jn_rows, st_lookups)
-    ]
-    out += _check_top(alg, None).violations
+    for x, y, z, want, got in _curried(st, outers, jn_rows, st_lookups):
+        yield Violation("star-distributes-join", (nm[x], nm[y], nm[z]), nm[want], nm[got])
+    yield from _top_laws(alg, None)
     for x in range(n):
         for y in range(n):
             if le[x][u] and le[y][u] and not le[st[x][y]][mt[x][y]]:
-                out.append(
-                    Violation(
-                        "subunit-star-below-meet", (nm[x], nm[y]),
-                        f"{nm[x]}*{nm[y]} <= {nm[x]} meet {nm[y]}",
-                        nm[st[x][y]],
-                    )
-                )
+                yield Violation("subunit-star-below-meet", (nm[x], nm[y]),
+                                f"{nm[x]}*{nm[y]} <= {nm[x]} meet {nm[y]}", nm[st[x][y]])
             if le[u][x] and le[u][y] and not le[jn[x][y]][st[x][y]]:
-                out.append(
-                    Violation(
-                        "superunit-join-below-star", (nm[x], nm[y]),
-                        f"{nm[x]} join {nm[y]} <= {nm[x]}*{nm[y]}",
-                        nm[st[x][y]],
-                    )
-                )
+                yield Violation("superunit-join-below-star", (nm[x], nm[y]),
+                                f"{nm[x]} join {nm[y]} <= {nm[x]}*{nm[y]}", nm[st[x][y]])
     # arrow-transitive, over z: (x->y)*(y->z) <= x->z. The left row depends
     # on x only through a = x->y, so each (a, y) builds it once, as one-hot
     # lanes; lane z of below[x] is the down mask of x->z.
@@ -717,63 +734,42 @@ def check_identities(alg: FiniteILAlgebra) -> VerificationReport:
         left = ar_rows[y].translate(st_lookups[ar[x][y]])
         for z in range(n):
             if not le[left[z]][ar[x][z]]:
-                out.append(
-                    Violation(
-                        "arrow-transitive", (nm[x], nm[y], nm[z]),
-                        f"({nm[x]}->{nm[y]})*({nm[y]}->{nm[z]}) <= {nm[x]}->{nm[z]}",
-                        "fails",
-                    )
-                )
+                yield Violation("arrow-transitive", (nm[x], nm[y], nm[z]),
+                                f"({nm[x]}->{nm[y]})*({nm[y]}->{nm[z]}) <= {nm[x]}->{nm[z]}",
+                                "fails")
     for x in range(n):
         if ar[u][x] != x:
-            out.append(
-                Violation("unit-arrow-identity", (nm[x],), nm[x], nm[ar[u][x]])
-            )
-    # x*y <= x1*y1 and x1->y <= x->y1 for x <= x1 and y <= y1, per block.
-    failing = [
-        (x, y, x1, y1, False)
-        for x, y in _monotone_blocks(st, ups, ups, down_lanes, onehot)
-        for x1 in ups[x] for y1 in ups[y] if not le[st[x][y]][st[x1][y1]]
-    ]
-    failing += [
-        (x, y, x1, y1, True)
-        for x1, y in _monotone_blocks(ar, downs, ups, down_lanes, onehot)
-        for x in downs[x1] for y1 in ups[y] if not le[ar[x1][y]][ar[x][y1]]
-    ]
-    for x, y, x1, y1, antitone in sorted(failing):
-        out.append(
-            Violation(
+            yield Violation("unit-arrow-identity", (nm[x],), nm[x], nm[ar[u][x]])
+    # x*y <= x1*y1 and x1->y <= x->y1 for x <= x1 and y <= y1. A failing star
+    # block (x, y), or arrow block (x1, y) with x <= x1, has its witnesses
+    # listed under (x, y), one (x, y) at a time.
+    star_bad = set(_monotone_blocks(st, ups, ups, down_lanes, onehot))
+    arrow_bad = set(_monotone_blocks(ar, downs, ups, down_lanes, onehot))
+    for x, y in sorted(star_bad.union((x, y) for x1, y in arrow_bad for x in downs[x1])):
+        block = [(x1, y1, False) for x1 in ups[x] for y1 in ups[y]
+                 if not le[st[x][y]][st[x1][y1]]] if (x, y) in star_bad else []
+        block += [(x1, y1, True) for x1 in ups[x] if (x1, y) in arrow_bad
+                  for y1 in ups[y] if not le[ar[x1][y]][ar[x][y1]]]
+        for x1, y1, antitone in sorted(block):
+            yield Violation(
                 "arrow-antitone" if antitone else "star-monotone",
                 (nm[x], nm[y], nm[x1], nm[y1]),
                 f"{nm[x1]}->{nm[y]} <= {nm[x]}->{nm[y1]}" if antitone
                 else f"{nm[x]}*{nm[y]} <= {nm[x1]}*{nm[y1]}",
                 "fails",
             )
-        )
     # Over z: want (x*y)->z and got x->(y->z).
-    out += [
-        Violation("arrow-curry", (nm[x], nm[y], nm[z]), nm[want], nm[got])
-        for x, y, z, want, got in _curried(st, [ar_rows] * n, ar_rows, ar_lookups)
-    ]
+    for x, y, z, want, got in _curried(st, [ar_rows] * n, ar_rows, ar_lookups):
+        yield Violation("arrow-curry", (nm[x], nm[y], nm[z]), nm[want], nm[got])
     for x in range(n):
         for y in range(n):
             if not le[st[x][ar[x][y]]][y]:
-                out.append(
-                    Violation(
-                        "modus-ponens", (nm[x], nm[y]),
-                        f"{nm[x]}*({nm[x]}->{nm[y]}) <= {nm[y]}",
-                        nm[st[x][ar[x][y]]],
-                    )
-                )
+                yield Violation("modus-ponens", (nm[x], nm[y]),
+                                f"{nm[x]}*({nm[x]}->{nm[y]}) <= {nm[y]}", nm[st[x][ar[x][y]]])
     for x in range(n):
         if not le[u][ar[x][x]]:
-            out.append(
-                Violation(
-                    "self-arrow-above-unit", (nm[x],),
-                    f"{nm[u]} <= {nm[x]}->{nm[x]}", nm[ar[x][x]],
-                )
-            )
-    return VerificationReport(tuple(out))
+            yield Violation("self-arrow-above-unit", (nm[x],),
+                            f"{nm[u]} <= {nm[x]}->{nm[x]}", nm[ar[x][x]])
 
 
 def is_idempotent(alg: FiniteILAlgebra) -> tuple[bool, int | None]:

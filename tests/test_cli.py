@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -15,12 +16,13 @@ from helpers import (
     bool2_power,
     direct_product,
     godel_chain,
+    rot_star,
     star_tampered,
     sugihara_chain,
 )
-from ilalg import cli
+from ilalg import cli, core
 from ilalg.cli import main
-from ilalg.core import check_identities
+from ilalg.core import _identity_laws
 from ilalg.fixtures import fixture_path
 from ilalg.report import ReportDocument, ReportLine, parse_machine
 from ilalg import document_of, parse_spec, quotient_algebra, render_spec
@@ -110,7 +112,7 @@ def test_check_takes_the_identity_verdict_of_a_valid_algebra_from_the_proofs(
     def refuse(alg):
         pytest.fail(f"identity sweep on a law-valid algebra of {alg.n} elements")
 
-    monkeypatch.setattr(cli, "check_identities", refuse)
+    monkeypatch.setattr(cli, "_identity_laws", refuse)
     expected = ReportDocument([])
     for label in ("lattice", "monoid", "residuation", "identities", "overall"):
         expected.add("VERDICT", label, (), "pass")
@@ -126,9 +128,9 @@ def test_check_takes_the_identity_verdict_of_a_valid_algebra_from_the_proofs(
 
     def spy(alg):
         calls.append(alg.n)
-        return check_identities(alg)
+        return _identity_laws(alg)
 
-    monkeypatch.setattr(cli, "check_identities", spy)
+    monkeypatch.setattr(cli, "_identity_laws", spy)
     code, out = run(capsys, "check", fx("chain6hi-printed"), "--lenient", "--machine")
     assert code == 1
     assert calls == [6]
@@ -444,6 +446,55 @@ def test_lenient_check_of_bad20_is_byte_identical(capsys, bool2_6, flags, digest
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest
 
 
+def test_check_and_the_refusals_run_each_build_suite_once(capsys, monkeypatch, bool2_6):
+    # They read the build's suites where the build left them, so no suite
+    # is swept twice. The identity suite runs the top suite as its own part.
+    calls = []
+    for name in ("_monoid_laws", "_residuation_law", "_top_laws"):
+        suite = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *a, s=suite: calls.append(s.__name__) or s(*a))
+    build = ["_monoid_laws", "_residuation_law", "_top_laws"]
+    for argv, suites in ((["check"], build),
+                         (["check", "--lenient", "--machine"], build + ["_top_laws"]),
+                         (["filters"], build),
+                         (["quotient", "--filter=1.1.1.1.1.1"], build)):
+        calls.clear()
+        code, out = run(capsys, argv[0], bool2_6["bad20"], *argv[1:])
+        assert code == 1 and out.count("VIOLATION") > 4000
+        assert sorted(calls) == suites
+
+
+class _Sink:
+    """A stdout that keeps nothing but the number of lines written."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_lenient_check_of_a_long_report_runs_in_bounded_memory(monkeypatch, tmp_path):
+    # rot-star bool2^5 lists 54,400 records (about 8 MB of text). Its traced
+    # peak was 12.7 MB while the suites returned whole lists; streamed, it is
+    # about 1.2 MB, against 0.4 MB for a valid check of bool2^5.
+    source = tmp_path / "rot-star-bool2-5.alg"
+    source.write_text(render_spec(rot_star(5)))
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["check", "--lenient", "--machine", str(source)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.lines) == (1, 54_400)
+    assert peak < 3_000_000
+
+
 @pytest.mark.parametrize("flags", [["--machine"], []], ids=["machine", "human"])
 def test_closed_stdout_exits_three_without_traceback(bool2_6, flags):
     # a lenient report of 2.3-2.5 MB in many writes, far more than a pipe
@@ -477,7 +528,7 @@ def test_cli_commands_import_only_what_they_run():
     probe = """
 import contextlib, io, json, sys
 import ilalg
-from ilalg import cli
+from ilalg import cli, core
 from ilalg.fixtures import fixture_path
 
 def loaded(*argv):

@@ -317,6 +317,29 @@ def test_build_report_keeps_each_core_suite(name):
     )
 
 
+@pytest.mark.parametrize("name", ERRATIC_FIXTURES)
+def test_build_report_violations_read_alike_every_time(name, monkeypatch):
+    # The build pulls the first violation of each suite. The first read of
+    # the report resumes the build's generator, and a later read runs the
+    # suite again on the same immutable algebra.
+    monoid, calls = core._monoid_laws, []
+    monkeypatch.setattr(core, "_monoid_laws", lambda alg: calls.append(alg.n) or monoid(alg))
+    alg, report = build_algebra(doc_of(name), mode="lenient")
+    assert not report.ok and not alg.valid and calls == [alg.n]
+    reruns = 1 if any(True for _ in monoid(alg)) else 0
+    first = tuple(iter(report.violations))
+    assert calls == [alg.n]
+    assert tuple(iter(report.violations)) == first and calls == [alg.n] * (1 + reruns)
+    expected = (check_monoid(alg).violations + check_residuation(alg).violations
+                + tuple(core._top_laws(alg, None)))
+    assert first == expected and report.violations == first and first == report.violations
+    assert len(report.violations) == len(first) and list(report.violations) == list(first)
+    assert report.violations[-1] == first[-1] and report.violations.count(first[0]) == 1
+    assert report == core.VerificationReport(first, report.suites)
+    assert hash(report) == hash(core.VerificationReport(first, report.suites))
+    assert repr(report.violations) == repr(first)
+
+
 def test_one_element_algebra_is_degenerate():
     alg, report = build_algebra(doc_of("point"), mode="strict")
     assert report.ok
@@ -706,17 +729,23 @@ def test_monotonicity_witnesses_equal_plain_loops(case):
     alg = monotone_case(case)
     le, st, ar, nm, rn = alg.leq_table, alg.star_table, alg.arrow_table, alg.carrier, range(alg.n)
     above = [[j for j in rn if le[i][j]] for i in rn]
-    star, arrow = [], []
+    star, arrow, both = [], [], []
     for x, y in itertools.product(rn, repeat=2):
         for x1 in above[x]:
             for y1 in above[y]:
                 if not le[st[x][y]][st[x1][y1]]:
                     star.append((nm[x], nm[y], nm[x1], nm[y1]))
+                    both.append(("star-monotone", star[-1]))
                 if not le[ar[x1][y]][ar[x][y1]]:
                     arrow.append((nm[x], nm[y], nm[x1], nm[y1]))
-    laws = check_identities(alg).by_law()
+                    both.append(("arrow-antitone", arrow[-1]))
+    report = check_identities(alg)
+    laws = report.by_law()
     assert laws.get("star-monotone", []) == star
     assert laws.get("arrow-antitone", []) == arrow
+    # The two laws interleave as the sweep visits (x, y, x1, y1).
+    assert [(v.law, v.witness) for v in report.violations
+            if v.law in ("star-monotone", "arrow-antitone")] == both
     if case.endswith("/order"):
         assert not check_lattice(alg).ok
     assert star if not case.endswith("/arrow") else arrow
