@@ -22,7 +22,7 @@ from helpers import (
 )
 from ilalg import cli, core
 from ilalg.cli import main
-from ilalg.core import _identity_laws
+from ilalg import identities
 from ilalg.fixtures import fixture_path
 from ilalg.report import ReportDocument, ReportLine, parse_machine
 from ilalg import document_of, parse_spec, quotient_algebra, render_spec
@@ -112,7 +112,8 @@ def test_check_takes_the_identity_verdict_of_a_valid_algebra_from_the_proofs(
     def refuse(alg):
         pytest.fail(f"identity sweep on a law-valid algebra of {alg.n} elements")
 
-    monkeypatch.setattr(cli, "_identity_laws", refuse)
+    identity_laws = identities.identity_laws
+    monkeypatch.setattr(identities, "identity_laws", refuse)
     expected = ReportDocument([])
     for label in ("lattice", "monoid", "residuation", "identities", "overall"):
         expected.add("VERDICT", label, (), "pass")
@@ -128,9 +129,9 @@ def test_check_takes_the_identity_verdict_of_a_valid_algebra_from_the_proofs(
 
     def spy(alg):
         calls.append(alg.n)
-        return _identity_laws(alg)
+        return identity_laws(alg)
 
-    monkeypatch.setattr(cli, "_identity_laws", spy)
+    monkeypatch.setattr(identities, "identity_laws", spy)
     code, out = run(capsys, "check", fx("chain6hi-printed"), "--lenient", "--machine")
     assert code == 1
     assert calls == [6]
@@ -448,20 +449,17 @@ def test_lenient_check_of_bad20_is_byte_identical(capsys, bool2_6, flags, digest
 
 def test_check_and_the_refusals_run_each_build_suite_once(capsys, monkeypatch, bool2_6):
     # They read the build's suites where the build left them, so no suite
-    # is swept twice. The identity suite runs the top suite as its own part.
+    # is swept twice.
     calls = []
     for name in ("_monoid_laws", "_residuation_law", "_top_laws"):
         suite = getattr(core, name)
         monkeypatch.setattr(core, name, lambda *a, s=suite: calls.append(s.__name__) or s(*a))
-    build = ["_monoid_laws", "_residuation_law", "_top_laws"]
-    for argv, suites in ((["check"], build),
-                         (["check", "--lenient", "--machine"], build + ["_top_laws"]),
-                         (["filters"], build),
-                         (["quotient", "--filter=1.1.1.1.1.1"], build)):
+    for argv in (["check"], ["check", "--lenient", "--machine"], ["filters"],
+                 ["quotient", "--filter=1.1.1.1.1.1"]):
         calls.clear()
         code, out = run(capsys, argv[0], bool2_6["bad20"], *argv[1:])
         assert code == 1 and out.count("VIOLATION") > 4000
-        assert sorted(calls) == suites
+        assert sorted(calls) == ["_monoid_laws", "_residuation_law", "_top_laws"]
 
 
 class _Sink:
@@ -523,23 +521,27 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 def test_cli_commands_import_only_what_they_run():
     # `check` and `derive-arrow` need neither filters nor quotient, and
-    # `filters` does not need quotient; the package still serves every name
-    # of __all__. A fresh process, since this one has loaded everything.
+    # `filters` does not need quotient; only a lenient check with violations
+    # needs the identity suite. The package still serves every name of
+    # __all__. A fresh process, since this one has loaded everything.
     probe = """
 import contextlib, io, json, sys
 import ilalg
 from ilalg import cli, core
 from ilalg.fixtures import fixture_path
 
-def loaded(*argv):
+def loaded(*argv, fixture="wide7-corrected"):
     with contextlib.redirect_stdout(io.StringIO()):
-        cli.main([argv[0], str(fixture_path("wide7-corrected")), *argv[1:]])
-    return sorted(m for m in ("ilalg.filters", "ilalg.quotient") if m in sys.modules)
+        cli.main([argv[0], str(fixture_path(fixture)), *argv[1:]])
+    return sorted(m for m in ("ilalg.filters", "ilalg.quotient", "ilalg.identities")
+                  if m in sys.modules)
 
 result = {
-    "check": loaded("check"),
+    "check": loaded("check", "--lenient"),
     "derive-arrow": loaded("derive-arrow", "--machine"),
+    "quotient": loaded("quotient", "--filter=1,top", fixture="chain6lo"),
     "filters": loaded("filters", "--classify"),
+    "check --lenient": loaded("check", "--lenient", fixture="wide7-printed"),
     "unlisted": [n for n in ilalg.__all__ if n not in dir(ilalg)],
     "unbound": [n for n in ilalg.__all__ if getattr(ilalg, n, None) is None],
     "modules": [ilalg.classify_all is ilalg.filters.classify_all,
@@ -557,7 +559,9 @@ print(json.dumps(result))
     assert json.loads(proc.stdout) == {
         "check": [],
         "derive-arrow": [],
-        "filters": ["ilalg.filters"],
+        "quotient": ["ilalg.filters", "ilalg.quotient"],
+        "filters": ["ilalg.filters", "ilalg.quotient"],
+        "check --lenient": ["ilalg.filters", "ilalg.identities", "ilalg.quotient"],
         "unlisted": [],
         "unbound": [],
         "modules": [True, True],
