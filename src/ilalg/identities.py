@@ -132,15 +132,18 @@ def identity_laws(alg: FiniteILAlgebra):
             yield Violation("unit-arrow-identity", (nm[x],), nm[x], nm[ar[u][x]])
     # x*y <= x1*y1 and x1->y <= x->y1 for x <= x1 and y <= y1. A failing star
     # block (x, y), or arrow block (x1, y) with x <= x1, has its witnesses
-    # listed under (x, y), one (x, y) at a time.
+    # listed under (x, y), one (x, y) at a time. Star witnesses come out in
+    # (x1, y1) order, so only a mix with arrow witnesses needs a sort.
     star_bad = set(_monotone_blocks(st, ups, ups, down_lanes, onehot))
     arrow_bad = set(_monotone_blocks(ar, downs, ups, down_lanes, onehot))
     for x, y in sorted(star_bad.union((x, y) for x1, y in arrow_bad for x in downs[x1])):
         block = [(x1, y1, False) for x1 in ups[x] for y1 in ups[y]
                  if not le[st[x][y]][st[x1][y1]]] if (x, y) in star_bad else []
-        block += [(x1, y1, True) for x1 in ups[x] if (x1, y) in arrow_bad
-                  for y1 in ups[y] if not le[ar[x1][y]][ar[x][y1]]]
-        for x1, y1, antitone in sorted(block):
+        if arrow_bad:
+            block += [(x1, y1, True) for x1 in ups[x] if (x1, y) in arrow_bad
+                      for y1 in ups[y] if not le[ar[x1][y]][ar[x][y1]]]
+            block.sort()
+        for x1, y1, antitone in block:
             yield Violation(
                 "arrow-antitone" if antitone else "star-monotone",
                 (nm[x], nm[y], nm[x1], nm[y1]),

@@ -537,10 +537,11 @@ def loaded(*argv, fixture="wide7-corrected"):
                   if m in sys.modules)
 
 result = {
-    "check": loaded("check", "--lenient"),
+    "check": loaded("check"),
+    "valid check --lenient": loaded("check", "--lenient"),
     "derive-arrow": loaded("derive-arrow", "--machine"),
-    "quotient": loaded("quotient", "--filter=1,top", fixture="chain6lo"),
     "filters": loaded("filters", "--classify"),
+    "quotient": loaded("quotient", "--filter=1,top", fixture="chain6lo"),
     "check --lenient": loaded("check", "--lenient", fixture="wide7-printed"),
     "unlisted": [n for n in ilalg.__all__ if n not in dir(ilalg)],
     "unbound": [n for n in ilalg.__all__ if getattr(ilalg, n, None) is None],
@@ -558,9 +559,10 @@ print(json.dumps(result))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "check": [],
+        "valid check --lenient": [],
         "derive-arrow": [],
+        "filters": ["ilalg.filters"],
         "quotient": ["ilalg.filters", "ilalg.quotient"],
-        "filters": ["ilalg.filters", "ilalg.quotient"],
         "check --lenient": ["ilalg.filters", "ilalg.identities", "ilalg.quotient"],
         "unlisted": [],
         "unbound": [],
