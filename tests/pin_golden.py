@@ -24,6 +24,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 from helpers import (
@@ -40,7 +41,7 @@ from helpers import (
     sugihara_chain,
     upset_of_unit,
 )
-from ilalg import document_of, enumerate_filters, render_spec
+from ilalg import document_of, enumerate_filters, is_filter, render_spec
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -52,24 +53,44 @@ COMMANDS = (
     ["filters", "--classify"], ["filters", "--classify", "--machine"],
     ["derive-arrow"], ["derive-arrow", "--machine"],
 )
+# The products of two valid fixtures get only these, then their quotients.
+PRODUCT_COMMANDS = (["check", "--machine"], ["filters", "--classify", "--machine"])
+
+
+def _non_filter(alg):
+    """{bottom, unit} when that is no filter, else the elements not above the
+    unit, which lack the unit (empty on a one-element algebra)."""
+    pair = sorted({alg.bottom, alg.unit})
+    if not is_filter(alg, pair).ok:
+        return pair
+    return [i for i in range(alg.n) if not alg.leq_table[alg.unit][i]]
 
 
 def _inputs():
-    """label -> (document text, the --filter values its quotients take)."""
+    """label -> (document text, its commands, the --filter values its
+    quotients take)."""
     inputs = {}
     for name in ALL_FIXTURES:
         alg = algebra_of(name)
         if name in VALID_FIXTURES:
-            subsets = [f.members() for f in enumerate_filters(alg)]
+            subsets = [f.members() for f in enumerate_filters(alg)] + [_non_filter(alg)]
         else:  # refused: the filters are not enumerated on a broken build
             subsets = [upset_of_unit(alg)]
-        inputs[name] = (render_spec(doc_of(name)), [alg.names(s) for s in subsets])
+        inputs[name] = (render_spec(doc_of(name)), COMMANDS, [alg.names(s) for s in subsets])
+    # Each unordered pair of valid fixtures, squares included, quotiented by
+    # its middle filter.
+    for a, b in combinations_with_replacement(VALID_FIXTURES, 2):
+        alg, label = direct_product(algebra_of(a), algebra_of(b)), f"{a}-x-{b}"
+        filters = enumerate_filters(alg)
+        inputs[label] = (render_spec(document_of(alg, label)), PRODUCT_COMMANDS,
+                         [alg.names(filters[len(filters) // 2].members())])
     for label, alg in (("bool2-6", bool2_power(6)), ("sugihara-63", sugihara_chain(31)),
                        ("godel-64", godel_chain(64)), ("lukasiewicz-64", lukasiewicz_chain(64))):
         filters = enumerate_filters(alg)
         subsets = (upset_of_unit(alg), filters[len(filters) // 2].members(),
                    [alg.bottom, alg.unit])  # the last is not upward closed
-        inputs[label] = (render_spec(document_of(alg, label)), [alg.names(s) for s in subsets])
+        inputs[label] = (render_spec(document_of(alg, label)), COMMANDS,
+                         [alg.names(s) for s in subsets])
     # Broken builds, for the violation path: check lists their violations,
     # and the other commands refuse them.
     bool2_6 = bool2_power(6)
@@ -82,18 +103,18 @@ def _inputs():
          star_tampered(document_of(product, "x"), 1, 1, "arrow_rows")),
         ("rot-star-bool2-4", bool2_power(4), rot_star(4)),
     ):
-        inputs[label] = (render_spec(doc._replace(name=label)),
+        inputs[label] = (render_spec(doc._replace(name=label)), COMMANDS,
                          [source.names(upset_of_unit(source))])
     names = [f"e{i}" for i in range(65)]
     inputs["over-cap-65"] = ("\n".join(
         ["algebra big65", "elements " + " ".join(names), "unit e0"]
-        + [f"star {x} : " + " ".join(names) for x in names]) + "\n", [["e0"]])
+        + [f"star {x} : " + " ".join(names) for x in names]) + "\n", COMMANDS, [["e0"]])
     # b*bot := top leaves x*w <= bot without a greatest solution
     doc = doc_of("chain6lo")
     star = {e: list(row) for e, row in doc.star_rows.items()}
     star["b"][0] = "top"
     inputs["no-residual"] = (render_spec(doc._replace(star_rows=star, arrow_rows=None)),
-                             [["1", "top"]])
+                             COMMANDS, [["1", "top"]])
     return inputs
 
 
@@ -112,9 +133,9 @@ def corpus(folder: Path) -> tuple[list[tuple[str, list[str], bool]], dict[str, s
         return str(file)
 
     argvs = []
-    for label, (text, subsets) in _inputs().items():
+    for label, (text, commands, subsets) in _inputs().items():
         file = path(label, text)
-        argvs += [[command[0], file, *command[1:]] for command in COMMANDS]
+        argvs += [[command[0], file, *command[1:]] for command in commands]
         argvs += [["quotient", file, "--filter=" + ",".join(members), *flags]
                   for members in subsets for flags in ([], ["--machine"])]
     fork = path("fork")
