@@ -12,13 +12,9 @@ from .core import (
     Violation,
     assemble_algebra,
     build_algebra,
-    check_identities,
-    check_integrality_equivalence,
-    check_lattice,
     check_monoid,
     check_residuation,
     derive_arrow,
-    is_idempotent,
     transitive_closure,
 )
 from .errors import (
@@ -34,9 +30,9 @@ from .errors import (
 from .report import ReportDocument, ReportLine, parse_machine
 from .specfile import AlgebraSpecDocument, document_of, parse_spec, render_spec
 
-# The names of `filters` and `quotient` are served on first use (PEP 562),
-# so a command that needs neither module, such as `ilalg check`, does not
-# compile them.
+# The names of `filters`, `quotient` and `identities` are served on first
+# use (PEP 562), so a command compiles only the modules it runs: `ilalg
+# check` on a valid build compiles none of them.
 _LAZY = {
     "filters": (
         "FilterCheck",
@@ -51,6 +47,7 @@ _LAZY = {
         "is_affine_filter",
         "is_distributive_filter",
         "is_filter",
+        "is_idempotent",
         "is_implicative_filter",
         "is_maximal_filter",
         "is_prime_filter",
@@ -66,8 +63,13 @@ _LAZY = {
         "congruence_classes",
         "quotient_algebra",
     ),
+    "identities": (
+        "check_identities",
+        "check_integrality_equivalence",
+        "check_lattice",
+    ),
 }
-# Each lazy name, and each of the two modules, to its module.
+# Each lazy name, and each of the modules, to its module.
 _HOME = {name: mod for mod, names in _LAZY.items() for name in (mod, *names)}
 
 __version__ = "0.1.0"
@@ -79,13 +81,9 @@ __all__ = [
     "Violation",
     "assemble_algebra",
     "build_algebra",
-    "check_identities",
-    "check_integrality_equivalence",
-    "check_lattice",
     "check_monoid",
     "check_residuation",
     "derive_arrow",
-    "is_idempotent",
     "transitive_closure",
     "AlgebraError",
     "BuildError",
@@ -97,6 +95,7 @@ __all__ = [
     "WellDefinednessError",
     *_LAZY["filters"],
     *_LAZY["quotient"],
+    *_LAZY["identities"],
     "ReportDocument",
     "ReportLine",
     "parse_machine",

@@ -4,11 +4,8 @@ An IL-algebra is a lattice with least element `bot` that also carries a
 commutative monoid `*` with unit `1` and a residual `->` adjoint to it:
 x*y <= z holds exactly when x <= y->z. Nothing forces x*y <= x here, which
 is what separates these structures from residuated lattices proper.
-
-Every identity of `check_identities` is a theorem of these laws; the proofs
-are in `ilalg.identities`, which holds that suite. So an algebra whose
-build report is empty (`valid`) passes every identity, and `ilalg check`
-prints that verdict without the sweep.
+This module holds what a build runs; the judges no command runs on a valid
+build are in `ilalg.identities`.
 
 Algebras are immutable after construction and every operation below is a
 pure read, so instances are safe to share across threads.
@@ -326,7 +323,7 @@ def assemble_algebra(
     Structural problems (bad dimensions, order cycles, no least element,
     missing joins or meets, underivable residual) raise BuildError in both
     modes; law violations raise LawViolationError only in strict mode. The
-    result passes `check_lattice` by construction, so that is not swept.
+    result passes the lattice laws by construction, so they are not swept.
     """
     names = tuple(carrier)
     n = len(names)
@@ -409,7 +406,7 @@ def assemble_algebra(
     # The lattice laws hold by construction. The closure starts from
     # up[i] = 1 << i (reflexive) and is Warshall's (transitive); a cycle
     # (antisymmetry) or no least[(1 << n) - 1] (least element) raised above;
-    # up[lub] == up[i] & up[j] is check_lattice's join test; meets are dual.
+    # up[lub] == up[i] & up[j] is the join-table law; meets are dual.
     monoid, residuation = _Run(_monoid_laws, alg), _Run(_residuation_law, alg)
     report = VerificationReport(
         _Violations(monoid, residuation, _Run(_top_laws, alg, declared_top)),
@@ -532,44 +529,6 @@ def _curried(st, outers, inner, lookups):
                     yield x, y, z, left[z], right[z]
 
 
-def check_lattice(alg: FiniteILAlgebra) -> VerificationReport:
-    """Order axioms, least element, and correctness of the bound tables, for
-    values built by hand: assembled algebras pass it by construction."""
-    return VerificationReport(tuple(_lattice_laws(alg)))
-
-
-def _lattice_laws(alg: FiniteILAlgebra):
-    le, nm, n = alg.leq_table, alg.carrier, alg.n
-    up, down = _order_masks(le)
-    for i in range(n):
-        if not le[i][i]:
-            yield Violation("order-reflexive", (nm[i],), "x <= x", "fails")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if le[i][j] and le[j][i]:
-                yield Violation("order-antisymmetric", (nm[i], nm[j]),
-                                "x <= y and y <= x only when x == y", "two-way pair")
-    for i in range(n):
-        for j in range(n):
-            if not le[i][j]:
-                continue
-            for k in _bits(up[j] & ~up[i]):
-                yield Violation("order-transitive", (nm[i], nm[j], nm[k]),
-                                "x <= z", "x <= y <= z but not x <= z")
-    for j in range(n):
-        if not le[alg.bottom][j]:
-            yield Violation("least-element", (nm[alg.bottom], nm[j]),
-                            f"{nm[alg.bottom]} <= {nm[j]}", "fails")
-    for i in range(n):
-        for j in range(n):
-            u = alg.join_table[i][j]
-            if not (le[i][u] and le[j][u]) or up[i] & up[j] & ~up[u]:
-                yield Violation("join-table", (nm[i], nm[j]), "least upper bound", nm[u])
-            w = alg.meet_table[i][j]
-            if not (le[w][i] and le[w][j]) or down[i] & down[j] & ~down[w]:
-                yield Violation("meet-table", (nm[i], nm[j]), "greatest lower bound", nm[w])
-
-
 def check_monoid(alg: FiniteILAlgebra) -> VerificationReport:
     """Commutativity over all pairs, associativity over all triples, and the
     unit law in both argument positions."""
@@ -623,44 +582,3 @@ def _top_laws(alg: FiniteILAlgebra, declared_top: int | None):
     for i in range(alg.n):
         if not alg.leq_table[i][alg.top]:
             yield Violation("top-greatest", (nm[i],), f"{nm[i]} <= {nm[alg.top]}", "fails")
-
-
-def check_identities(alg: FiniteILAlgebra) -> VerificationReport:
-    """The derived-identity suite.
-
-    Every one of these follows from the axioms (the proofs are in
-    `ilalg.identities`), so a valid algebra passes all of them; on a
-    leniently built algebra the failures localize what is wrong with the
-    tables. The CLI runs it only on a lenient build with violations, and
-    takes the verdict of a valid algebra from the proofs.
-    """
-    from .identities import identity_laws  # compiled only where it runs
-
-    return VerificationReport(tuple(identity_laws(alg)))
-
-
-def is_idempotent(alg: FiniteILAlgebra) -> tuple[bool, int | None]:
-    """Whether x*x == x everywhere; on failure also the first bad element."""
-    for x in range(alg.n):
-        if alg.star_table[x][x] != x:
-            return False, x
-    return True, None
-
-
-def check_integrality_equivalence(alg: FiniteILAlgebra) -> bool:
-    """x*y <= x for all pairs, which must coincide with top == unit.
-
-    Returns the quantified side. The two sides agreeing is itself a theorem,
-    so disagreement means the tables are not a valid algebra.
-    """
-    integral = all(
-        alg.leq_table[alg.star_table[x][y]][x]
-        for x in range(alg.n)
-        for y in range(alg.n)
-    )
-    if integral != (alg.top == alg.unit):
-        raise BuildError(
-            "integrality and top == unit disagree; the tables do not form "
-            "a valid algebra"
-        )
-    return integral

@@ -55,7 +55,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Iterable, Iterator, NamedTuple
 
-from .core import FiniteILAlgebra, is_idempotent, require_valid
+from .core import FiniteILAlgebra, require_valid
 from .errors import AlgebraError, NotAFilterError
 
 
@@ -393,6 +393,14 @@ def classify_all(alg: FiniteILAlgebra) -> list[FilterSubset]:
         )
         for f in filters
     ]
+
+
+def is_idempotent(alg: FiniteILAlgebra) -> tuple[bool, int | None]:
+    """Whether x*x == x everywhere; on failure also the first bad element."""
+    for x in range(alg.n):
+        if alg.star_table[x][x] != x:
+            return False, x
+    return True, None
 
 
 class IdempotenceImplicativeResult(NamedTuple):

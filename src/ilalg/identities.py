@@ -1,4 +1,7 @@
-"""The derived-identity suite of `check_identities`.
+"""The judges that no command runs on a valid build: `check_identities`
+(the suite `identity_laws` as one report), `check_lattice` (the order and
+bound-table laws, which assembly makes hold by construction, for values
+built by hand) and `check_integrality_equivalence`.
 
 Every identity here is a theorem of the IL-algebra laws (Galatos,
 Jipsen, Kowalski and Ono, *Residuated Lattices*, 2007, section 2.2; Jipsen
@@ -47,6 +50,7 @@ from functools import reduce
 
 from .core import (
     FiniteILAlgebra,
+    VerificationReport,
     Violation,
     _bits,
     _curried,
@@ -55,6 +59,7 @@ from .core import (
     _rows,
     _top_laws,
 )
+from .errors import BuildError
 
 
 def _lanes(row: bytes, masks: list[bytes]) -> int:
@@ -163,3 +168,72 @@ def identity_laws(alg: FiniteILAlgebra):
         if not le[u][ar[x][x]]:
             yield Violation("self-arrow-above-unit", (nm[x],),
                             f"{nm[u]} <= {nm[x]}->{nm[x]}", nm[ar[x][x]])
+
+
+def check_identities(alg: FiniteILAlgebra) -> VerificationReport:
+    """The derived-identity suite as one report.
+
+    Every one of these follows from the axioms (the proofs are above), so a
+    valid algebra passes all of them; on a leniently built algebra the
+    failures localize what is wrong with the tables. No command calls it:
+    `ilalg check --lenient` streams `identity_laws` on a build with
+    violations, and takes the verdict of a valid algebra from the proofs.
+    """
+    return VerificationReport(tuple(identity_laws(alg)))
+
+
+def check_lattice(alg: FiniteILAlgebra) -> VerificationReport:
+    """Order axioms, least element, and correctness of the bound tables, for
+    values built by hand: assembled algebras pass it by construction."""
+    return VerificationReport(tuple(_lattice_laws(alg)))
+
+
+def _lattice_laws(alg: FiniteILAlgebra):
+    le, nm, n = alg.leq_table, alg.carrier, alg.n
+    up, down = _order_masks(le)
+    for i in range(n):
+        if not le[i][i]:
+            yield Violation("order-reflexive", (nm[i],), "x <= x", "fails")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if le[i][j] and le[j][i]:
+                yield Violation("order-antisymmetric", (nm[i], nm[j]),
+                                "x <= y and y <= x only when x == y", "two-way pair")
+    for i in range(n):
+        for j in range(n):
+            if not le[i][j]:
+                continue
+            for k in _bits(up[j] & ~up[i]):
+                yield Violation("order-transitive", (nm[i], nm[j], nm[k]),
+                                "x <= z", "x <= y <= z but not x <= z")
+    for j in range(n):
+        if not le[alg.bottom][j]:
+            yield Violation("least-element", (nm[alg.bottom], nm[j]),
+                            f"{nm[alg.bottom]} <= {nm[j]}", "fails")
+    for i in range(n):
+        for j in range(n):
+            u = alg.join_table[i][j]
+            if not (le[i][u] and le[j][u]) or up[i] & up[j] & ~up[u]:
+                yield Violation("join-table", (nm[i], nm[j]), "least upper bound", nm[u])
+            w = alg.meet_table[i][j]
+            if not (le[w][i] and le[w][j]) or down[i] & down[j] & ~down[w]:
+                yield Violation("meet-table", (nm[i], nm[j]), "greatest lower bound", nm[w])
+
+
+def check_integrality_equivalence(alg: FiniteILAlgebra) -> bool:
+    """x*y <= x for all pairs, which must coincide with top == unit.
+
+    Returns the quantified side. The two sides agreeing is itself a theorem,
+    so disagreement means the tables are not a valid algebra.
+    """
+    integral = all(
+        alg.leq_table[alg.star_table[x][y]][x]
+        for x in range(alg.n)
+        for y in range(alg.n)
+    )
+    if integral != (alg.top == alg.unit):
+        raise BuildError(
+            "integrality and top == unit disagree; the tables do not form "
+            "a valid algebra"
+        )
+    return integral

@@ -523,7 +523,8 @@ def test_cli_commands_import_only_what_they_run():
     # `check` and `derive-arrow` need neither filters nor quotient, and
     # `filters` does not need quotient; only a lenient check with violations
     # needs the identity suite. The package still serves every name of
-    # __all__. A fresh process, since this one has loaded everything.
+    # __all__, each from its home module. A fresh process, since this one
+    # has loaded everything.
     probe = """
 import contextlib, io, json, sys
 import ilalg
@@ -546,7 +547,12 @@ result = {
     "unlisted": [n for n in ilalg.__all__ if n not in dir(ilalg)],
     "unbound": [n for n in ilalg.__all__ if getattr(ilalg, n, None) is None],
     "modules": [ilalg.classify_all is ilalg.filters.classify_all,
-                ilalg.quotient_algebra is ilalg.quotient.quotient_algebra],
+                ilalg.quotient_algebra is ilalg.quotient.quotient_algebra,
+                ilalg.check_lattice is ilalg.identities.check_lattice,
+                ilalg.check_integrality_equivalence
+                is ilalg.identities.check_integrality_equivalence,
+                ilalg.check_identities is ilalg.identities.check_identities,
+                ilalg.is_idempotent is ilalg.filters.is_idempotent],
     "missing": hasattr(ilalg, "no_such_name"),
 }
 star = {}
@@ -566,7 +572,7 @@ print(json.dumps(result))
         "check --lenient": ["ilalg.filters", "ilalg.identities", "ilalg.quotient"],
         "unlisted": [],
         "unbound": [],
-        "modules": [True, True],
+        "modules": [True] * 6,
         "missing": False,
         "unstarred": [],
     }
