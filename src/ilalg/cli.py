@@ -2,7 +2,7 @@
 
 Commands: check, filters, quotient, derive-arrow. Exit codes: 0 all pass,
 1 violations or failed preconditions, 2 parse error, 3 usage error or a
-stdout closed before the report was written.
+stdout that is closed or cannot take the report.
 
 Each command returns its exit code, its records (`ReportLine`s and
 `Violation`s) and the text that follows them: the pasted quotient document
@@ -83,10 +83,13 @@ def main(argv=None) -> int:
     try:
         code = _main(argv)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout (`ilalg check FILE | head`). Point the
-        # descriptor at devnull, so the flush at exit has somewhere to go.
+    except OSError as exc:
+        # The reader closed stdout (`ilalg check FILE | head`), or stdout
+        # cannot take the report (a full disk). Point the descriptor at
+        # devnull, so the flush at exit has somewhere to go.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"cannot write the report: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code
 
@@ -97,7 +100,7 @@ def _main(argv) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
@@ -219,14 +222,14 @@ def _cmd_quotient(doc, alg, report, args):
               for bi, blk in enumerate(result.blocks)]
     checks = {
         "induced-algebra": q.valid,
-        "quotient-order": check_quotient_order(alg, members),
+        "quotient-order": check_quotient_order(alg, result.filter_mask),
     }
     verdicts = [ReportLine("VERDICT", label, (), "pass" if ok else "fail")
                 for label, ok in checks.items()]
     for label, theorem in (
-        ("distributive-quotient", check_distributive_quotient(alg, members)),
-        ("linear-quotient", check_linear_quotient(alg, members)),
-        ("affine-quotient", check_affine_quotient(alg, members)),
+        ("distributive-quotient", check_distributive_quotient(alg, result.filter_mask)),
+        ("linear-quotient", check_linear_quotient(alg, result.filter_mask)),
+        ("affine-quotient", check_affine_quotient(alg, result.filter_mask)),
     ):
         detail = (
             f"premise={'yes' if theorem.premise else 'no'} "

@@ -16,6 +16,25 @@ from typing import NamedTuple
 from .core import Violation
 
 
+def _machine(kind: str, label: str, witness: tuple[str, ...], detail: str) -> str:
+    wit = ",".join(witness)
+    line = f"{kind};{label};{wit};{detail}"
+    # A ';' in a field or a ',' in an element breaks one of these counts.
+    if line.count(";") != 3 or witness and wit.count(",") >= len(witness):
+        for part in (kind, label, detail, *witness):
+            if ";" in part:
+                raise ValueError(f"semicolon in report field {part!r}")
+        for part in witness:
+            if "," in part:
+                raise ValueError(f"comma in witness element {part!r}")
+    return line
+
+
+def _human(kind: str, label: str, witness: tuple[str, ...], detail: str) -> str:
+    wit = f"{'(' + ', '.join(witness) + ')':<18} " if witness else ""
+    return f"{kind:<9} {label:<26} {wit}{detail}".rstrip()
+
+
 class ReportLine(NamedTuple):
     kind: str
     label: str
@@ -23,15 +42,7 @@ class ReportLine(NamedTuple):
     detail: str = ""
 
     def machine(self) -> str:
-        for part in (self.kind, self.label, self.detail, *self.witness):
-            if ";" in part:
-                raise ValueError(f"semicolon in report field {part!r}")
-        for part in self.witness:
-            if "," in part:
-                raise ValueError(f"comma in witness element {part!r}")
-        return ";".join(
-            (self.kind, self.label, ",".join(self.witness), self.detail)
-        )
+        return _machine(*self)
 
     @classmethod
     def from_machine(cls, line: str) -> "ReportLine":
@@ -47,13 +58,7 @@ class ReportLine(NamedTuple):
         )
 
     def human(self) -> str:
-        wit = "(" + ", ".join(self.witness) + ")" if self.witness else ""
-        parts = [f"{self.kind:<9}", f"{self.label:<26}"]
-        if wit:
-            parts.append(f"{wit:<18}")
-        if self.detail:
-            parts.append(self.detail)
-        return " ".join(parts).rstrip()
+        return _human(*self)
 
 
 class ReportDocument(NamedTuple):
@@ -61,33 +66,17 @@ class ReportDocument(NamedTuple):
     # render. No default: one list would serve every document.
     lines: list[ReportLine | Violation]
 
-    def add(self, kind: str, label: str, witness=(), detail: str = "") -> None:
-        self.lines.append(ReportLine(kind, label, tuple(witness), detail))
-
-    def add_violation(self, v: Violation) -> None:
-        self.lines.append(v)
-
     def render(self, machine: bool = False) -> str:
         """The records, one a line. A `Violation` renders as
-        ReportLine("VIOLATION", law, witness, "expected E | found F") would,
-        formatted straight from its fields."""
+        ReportLine("VIOLATION", law, witness, "expected E | found F") would."""
+        fmt = _machine if machine else _human
         out = []
         for r in self.lines:
-            if type(r) is not Violation:
-                out.append(r.machine() if machine else r.human())
-                continue
-            law, witness, expected, found = r
-            if machine:
-                wit = ",".join(witness)
-                line = f"VIOLATION;{law};{wit};expected {expected} | found {found}"
-                if line.count(";") != 3 or witness and wit.count(",") >= len(witness):
-                    # a ';' in a field or a ',' in an element: raise as ReportLine does
-                    ReportLine("VIOLATION", law, witness,
-                               f"expected {expected} | found {found}").machine()
+            if type(r) is Violation:
+                law, witness, expected, found = r
+                out.append(fmt("VIOLATION", law, witness, f"expected {expected} | found {found}"))
             else:
-                wit = f"{'(' + ', '.join(witness) + ')':<18} " if witness else ""
-                line = f"VIOLATION {law:<26} {wit}expected {expected} | found {found}".rstrip()
-            out.append(line)
+                out.append(fmt(*r))
         return "\n".join(out)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -116,7 +117,7 @@ def test_check_takes_the_identity_verdict_of_a_valid_algebra_from_the_proofs(
     monkeypatch.setattr(identities, "identity_laws", refuse)
     expected = ReportDocument([])
     for label in ("lattice", "monoid", "residuation", "identities", "overall"):
-        expected.add("VERDICT", label, (), "pass")
+        expected.lines.append(ReportLine("VERDICT", label, (), "pass"))
     sources = [fx(name) for name in VALID_FIXTURES]
     sources.append(written(tmp_path, bool2_power(6), "bool2-6"))
     for source in sources:
@@ -148,6 +149,16 @@ def test_non_utf8_file_is_usage_error(tmp_path, capsys):
     bad.write_bytes("algebra caf\xe9\nelements a\n".encode("latin-1"))
     assert main(["check", str(bad)]) == 3
     assert capsys.readouterr().err.startswith(f"cannot read {bad}: ")
+
+
+def test_leading_byte_order_mark_is_ignored(tmp_path, capsys):
+    source = tmp_path / "chain6lo-bom.alg"
+    source.write_bytes(b"\xef\xbb\xbf" + fixture_path("chain6lo").read_bytes())
+    for machine in ([], ["--machine"]):
+        printed = []
+        for path in (str(source), fx("chain6lo")):
+            printed.append((main(["check", path, *machine]), capsys.readouterr()))
+        assert printed[0] == printed[1]
 
 
 def test_bad_usage_is_exit_three(capsys):
@@ -507,6 +518,20 @@ def test_closed_stdout_exits_three_without_traceback(bool2_6, flags):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 3
     assert stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_three_with_one_line():
+    # every write to /dev/full fails with ENOSPC: one line on stderr, no
+    # traceback, and not the exit code of violations
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ilalg", "check", fx("chain6lo")],
+            stdout=full, stderr=subprocess.PIPE, timeout=60,
+        )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(b"cannot write the report: ")
+    assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

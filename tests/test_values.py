@@ -69,7 +69,7 @@ def test_filter_membership_is_mask_membership(name):
 
 def test_report_documents_never_share_lines():
     first, second = ReportDocument([]), ReportDocument([])
-    first.add("NOTE", "only-here")
+    first.lines.append(ReportLine("NOTE", "only-here"))
     assert first.lines is not second.lines
     assert second.lines == [] and len(first.lines) == 1
 
@@ -90,15 +90,9 @@ def _as_line(v):
 
 
 def _document(records):
-    """A document of report lines and violations, the latter added as the
-    CLI adds them."""
-    doc = ReportDocument([])
-    for r in records:
-        if isinstance(r, Violation):
-            doc.add_violation(r)
-        else:
-            doc.lines.append(r)
-    return doc
+    """A document of report lines and violations, each held as the CLI
+    holds it: a violation as itself, not as its report line."""
+    return ReportDocument(list(records))
 
 
 @settings(max_examples=200, deadline=None)
