@@ -4,6 +4,10 @@ Commands: check, filters, quotient, derive-arrow. Exit codes: 0 all pass,
 1 violations or failed preconditions, 2 parse error, 3 usage error or a
 stdout that is closed or cannot take the report.
 
+Each subcommand is declared once, in `_build_parser`, with its handler and
+its refusal: the `ERROR` sentence it prints instead of running on an algebra
+whose lenient build broke a law (`check` never refuses).
+
 Each command returns its exit code, its records (`ReportLine`s and
 `Violation`s) and the text that follows them: the pasted quotient document
 or the derived `arrow` rows. `_main` writes the records SLICE at a time, so
@@ -37,14 +41,6 @@ EXIT_USAGE = 3
 # call when stdout is unbuffered, so records are not written one at a time.
 SLICE = 1024
 
-# Commands that refuse an algebra whose lenient build broke a law.
-_NEEDS_VALID = {
-    "filters": "filter enumeration needs a law-valid algebra",
-    "quotient": "quotient construction needs a law-valid algebra",
-    "derive-arrow": "residual derivation needs a law-valid algebra",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ilalg",
@@ -58,11 +54,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lenient", action="store_true",
                    help="run the identity suite even when core laws fail")
     p.add_argument("--machine", action="store_true")
+    p.set_defaults(run=_cmd_check, refusal=None)
 
     p = sub.add_parser("filters", help="enumerate (and classify) all filters")
     p.add_argument("file")
     p.add_argument("--classify", action="store_true")
     p.add_argument("--machine", action="store_true")
+    p.set_defaults(run=_cmd_filters, refusal="filter enumeration needs a law-valid algebra")
 
     p = sub.add_parser("quotient", help="quotient by a filter")
     p.add_argument("file")
@@ -71,11 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated member names; write --filter=e1,... "
                    "when the first name begins with '-'")
     p.add_argument("--machine", action="store_true")
+    p.set_defaults(run=_cmd_quotient, refusal="quotient construction needs a law-valid algebra")
 
     p = sub.add_parser("derive-arrow",
                        help="derive the residual table from star and order")
     p.add_argument("file")
     p.add_argument("--machine", action="store_true")
+    p.set_defaults(run=_cmd_derive_arrow, refusal="residual derivation needs a law-valid algebra")
     return parser
 
 
@@ -121,17 +121,10 @@ def _main(argv) -> int:
     except BuildError as exc:
         records = [ReportLine("ERROR", "build", (), str(exc))]
     else:
-        refusal = None if alg.valid else _NEEDS_VALID.get(args.command)
-        if refusal is None:
-            command = {
-                "check": _cmd_check,
-                "filters": _cmd_filters,
-                "quotient": _cmd_quotient,
-                "derive-arrow": _cmd_derive_arrow,
-            }[args.command]
-            code, records, tail = command(doc, alg, report, args)
+        if alg.valid or args.refusal is None:
+            code, records, tail = args.run(doc, alg, report, args)
         else:
-            records = chain([ReportLine("ERROR", args.command, (), refusal)],
+            records = chain([ReportLine("ERROR", args.command, (), args.refusal)],
                             report.violations)
     # The one place records reach stdout: SLICE records a write.
     records = iter(records)
@@ -195,7 +188,7 @@ def _cmd_filters(doc, alg, report, args):
 
 
 def _cmd_quotient(doc, alg, report, args):
-    from .filters import FilterCheck, describe_filter_failure
+    from .filters import describe_filter_failure
     from .quotient import (
         check_affine_quotient,
         check_distributive_quotient,
@@ -213,10 +206,9 @@ def _cmd_quotient(doc, alg, report, args):
     try:
         result = quotient_algebra(alg, members)
     except NotAFilterError as exc:
-        check = FilterCheck(False, exc.condition, exc.witness)
         return EXIT_VIOLATIONS, [ReportLine(
-            "VIOLATION", check.condition, alg.names(check.witness),
-            "not a filter: " + describe_filter_failure(alg, check))], ""
+            "VIOLATION", exc.condition, alg.names(exc.witness),
+            "not a filter: " + describe_filter_failure(alg, exc.condition, exc.witness))], ""
     q = result.algebra
     blocks = [ReportLine("BLOCK", q.carrier[bi], alg.names(blk), f"index={bi}")
               for bi, blk in enumerate(result.blocks)]

@@ -137,19 +137,33 @@ def is_filter(
     return FilterCheck(True)
 
 
-def describe_filter_failure(alg: FiniteILAlgebra, check: FilterCheck) -> str:
-    """Human sentence for a failed FilterCheck, with the offending value."""
-    if check.ok:
-        return "subset is a filter"
-    names = alg.names(check.witness)
-    if check.condition == "unit-member":
+def describe_filter_failure(
+    alg: FiniteILAlgebra, condition: str, witness: tuple[int, ...]
+) -> str:
+    """Human sentence for a broken filter condition, with the offending value."""
+    names = alg.names(witness)
+    if condition == "unit-member":
         return f"unit {names[0]} is missing"
-    x, y = check.witness
-    if check.condition == "star-closed":
+    x, y = witness
+    if condition == "star-closed":
         return f"{names[0]}*{names[1]} = {alg.carrier[alg.star_table[x][y]]} escapes the subset"
-    if check.condition == "meet-closed":
+    if condition == "meet-closed":
         return f"{names[0]} meet {names[1]} = {alg.carrier[alg.meet_table[x][y]]} escapes the subset"
     return f"{names[0]} is in the subset but {names[1]} above it is not"
+
+
+def _filter_mask(
+    alg: FiniteILAlgebra, subset: FilterSubset | int | Iterable[int], operation: str
+) -> int:
+    """The mask of `subset`, a filter of the law-valid `alg`, or raise:
+    `require_valid` names `operation`, and a non-filter gives `is_filter`'s
+    condition and witness to `NotAFilterError`."""
+    require_valid(alg, operation)
+    mask = subset_mask(alg, subset)
+    check = is_filter(alg, mask)
+    if not check.ok:
+        raise NotAFilterError(check.condition, check.witness)
+    return mask
 
 
 def _idempotent_subunits(alg: FiniteILAlgebra) -> list[int]:
@@ -335,12 +349,7 @@ def is_maximal_filter(
     vacuously maximal and shadow every genuine one. Needs a law-valid
     algebra, where every filter is principal.
     """
-    require_valid(alg, "is_maximal_filter")
-    mask = subset_mask(alg, subset)
-    check = is_filter(alg, mask)
-    if not check.ok:
-        raise NotAFilterError(check.condition, check.witness)
-    return _maximal(alg, mask)
+    return _maximal(alg, _filter_mask(alg, subset, "is_maximal_filter"))
 
 
 def _maximal(alg: FiniteILAlgebra, mask: int) -> bool:

@@ -21,15 +21,14 @@ from .core import (
     _lookup,
     _mismatches,
     assemble_algebra,
-    require_valid,
 )
-from .errors import CongruenceError, NotAFilterError, WellDefinednessError
+from .errors import CongruenceError, WellDefinednessError
 from .filters import (
     FilterSubset,
     _distributivity_defects,
+    _filter_mask,
     is_affine_filter,
     is_distributive_filter,
-    is_filter,
     is_prime_filter,
     subset_mask,
 )
@@ -65,11 +64,7 @@ def congruence_classes(
     Reflexivity and transitivity are re-verified (symmetry holds by
     construction); a failure means the algebra is invalid, and raises.
     """
-    require_valid(alg, "congruence_classes")
-    mask = subset_mask(alg, subset)
-    check = is_filter(alg, mask)
-    if not check.ok:
-        raise NotAFilterError(check.condition, check.witness)
+    mask = _filter_mask(alg, subset, "congruence_classes")
     ar = alg.arrow_table
     n = alg.n
     inside = [mask >> v & 1 for v in range(n)]

@@ -243,6 +243,10 @@ def test_quotient_non_filter_exits_one_with_witness(capsys, tmp_path):
     assert (line.kind, line.label, line.witness) == (
         "VIOLATION", "upward-closed", ("g0", "g1"))
     assert line.detail == "not a filter: g0 is in the subset but g1 above it is not"
+    # {c, 1, top} on fork is closed under * and upward closed; only meet fails.
+    code, out = run(capsys, "quotient", fx("fork"), "--machine", "--filter=c,1,top")
+    assert code == 1
+    assert out == "VIOLATION;meet-closed;c,1;not a filter: c meet 1 = b escapes the subset\n"
 
 
 def test_quotient_filter_names_beginning_with_minus(capsys, tmp_path):

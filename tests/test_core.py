@@ -852,6 +852,17 @@ def test_build_errors_on_malformed_structure():
     # dimension mismatch
     with pytest.raises(BuildError, match="entries"):
         assemble_algebra(["x", "y"], [(0, 1)], [[0], [0, 1]], unit=1)
+    # carrier names, star table and unit index
+    for carrier, order, star, unit, message in (
+        ([], [], [], 0, "carrier is empty"),
+        (["x", "x"], [(0, 1)], [[0, 0], [0, 1]], 0, "carrier names are not unique"),
+        (["x", "y"], [(0, 1)], [[0, 0]], 0, "star table has 1 rows, expected 2"),
+        (["x", "y"], [(0, 1)], [[0, 0], [0, 7]], 0, "star table entry 7 out of range"),
+        (["x", "y"], [(0, 1)], [[0, 0], [0, 1]], 5, "unit index 5 out of range"),
+    ):
+        with pytest.raises(BuildError) as err:
+            assemble_algebra(carrier, order, star, unit=unit)
+        assert str(err.value) == message
 
 
 TWO = AlgebraSpecDocument(
@@ -867,6 +878,7 @@ TWO = AlgebraSpecDocument(
 @pytest.mark.parametrize(
     "changes,message",
     [
+        ({"elements": []}, "document has no elements"),
         ({"order_pairs": [("lo", "zz")]}, "unknown element name 'zz' in order"),
         ({"unit": "zz"}, "unknown element name 'zz' in unit"),
         ({"declared_bottom": "zz"}, "unknown element name 'zz' in bottom"),

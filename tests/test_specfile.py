@@ -82,6 +82,9 @@ def test_comments_and_blank_lines_are_ignored():
         ("algebra x\nelements a;b\n", 2, 10, "bad element name"),
         ("algebra x\nalgebra y\n", 2, 1, "duplicate 'algebra'"),
         ("algebra x\nelements a b\nunit a\nunit b\n", 4, 1, "duplicate 'unit'"),
+        ("algebra x\nelements a\nunit a a\n", 3, 1, "'unit' takes exactly one name"),
+        ("algebra x\nelements a\nelements b\n", 3, 1, "duplicate 'elements' line"),
+        ("algebra x\nelements\n", 2, 1, "'elements' needs at least one name"),
     ],
 )
 def test_positioned_parse_errors(text, line, col, fragment):
