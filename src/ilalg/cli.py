@@ -4,9 +4,11 @@ Commands: check, filters, quotient, derive-arrow. Exit codes: 0 all pass,
 1 violations or failed preconditions, 2 parse error, 3 usage error or a
 stdout that is closed or cannot take the report.
 
-Each subcommand is declared once, in `_build_parser`, with its handler and
-its refusal: the `ERROR` sentence it prints instead of running on an algebra
-whose lenient build broke a law (`check` never refuses).
+Each command is declared once, in `_COMMANDS` at the end of this module,
+with its handler, its refusal and its options. The refusal is the `ERROR`
+sentence it prints instead of running on an algebra whose lenient build
+broke a law (`check` never refuses). `_parse` reads argv from that table,
+and help prints it as the README's grammar lines.
 
 Each command returns its exit code, its records (`ReportLine`s and
 `Violation`s) and the text that follows them: the pasted quotient document
@@ -18,10 +20,10 @@ records and a report of any length is written in bounded memory.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import chain, islice
+from types import SimpleNamespace
 
 from .core import _Run, build_algebra
 from .errors import BuildError, NotAFilterError, NotResiduatedError, ParseError
@@ -41,42 +43,114 @@ EXIT_USAGE = 3
 # call when stdout is unbuffered, so records are not written one at a time.
 SLICE = 1024
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ilalg",
-        description="Workbench for finite IL-algebras: verify the laws, "
-        "enumerate and classify filters, build quotients.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="verify the law and identity suites")
-    p.add_argument("file")
-    p.add_argument("--lenient", action="store_true",
-                   help="run the identity suite even when core laws fail")
-    p.add_argument("--machine", action="store_true")
-    p.set_defaults(run=_cmd_check, refusal=None)
+class _Usage(Exception):
+    """A command line that `_COMMANDS` does not accept: the message that
+    follows `ilalg: error: `."""
 
-    p = sub.add_parser("filters", help="enumerate (and classify) all filters")
-    p.add_argument("file")
-    p.add_argument("--classify", action="store_true")
-    p.add_argument("--machine", action="store_true")
-    p.set_defaults(run=_cmd_filters, refusal="filter enumeration needs a law-valid algebra")
 
-    p = sub.add_parser("quotient", help="quotient by a filter")
-    p.add_argument("file")
-    p.add_argument("--filter", dest="filter_members", required=True,
-                   metavar="e1,e2,...",
-                   help="comma-separated member names; write --filter=e1,... "
-                   "when the first name begins with '-'")
-    p.add_argument("--machine", action="store_true")
-    p.set_defaults(run=_cmd_quotient, refusal="quotient construction needs a law-valid algebra")
+def _usage() -> str:
+    """Help: the README's grammar lines, one per command, after `usage:`."""
+    lines = (" ".join(["ilalg", name, "FILE", *(o if "=" in o else f"[{o}]" for o in options)])
+             for name, (_, _, options) in _COMMANDS.items())
+    return "usage: " + "\n       ".join(lines) + "\n"
 
-    p = sub.add_parser("derive-arrow",
-                       help="derive the residual table from star and order")
-    p.add_argument("file")
-    p.add_argument("--machine", action="store_true")
-    p.set_defaults(run=_cmd_derive_arrow, refusal="residual derivation needs a law-valid algebra")
-    return parser
+
+def _dest(option: str) -> str:
+    """The attribute an option sets: its name, and filter_members for --filter."""
+    name = option.partition("=")[0][2:]
+    return "filter_members" if name == "filter" else name
+
+
+def _option(token: str, names) -> tuple | None:
+    """None when `token` is a positional: it does not begin with "-", is "-"
+    alone or a number such as -1 or -.5, or names no option and holds a
+    space. Otherwise (name, value): an option of `names` or a unique prefix
+    of one (-h, -hh, ... stand for --help), with value None unless written
+    name=value, or (None, None) for an unknown option."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] == "-":
+        head, eq, value = token.partition("=")
+        found = [head] if head in names else [n for n in names if n.startswith(head)]
+        if len(found) > 1:
+            raise _Usage(f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif token[1] == "h":
+        return "--help", token[2:].strip("h") or None
+    else:
+        whole, dot, frac = token[1:].partition(".")
+        if (whole.isdecimal() or dot and not whole) and (not dot or frac.isdecimal()):
+            return None
+    return None if " " in token else (None, None)
+
+
+def _parse(argv: list[str]):
+    """The command line as attributes: `command`, `file`, one per option of
+    the command, and its `run` and `refusal`; None when it asks for help.
+
+    Options may come before or after FILE, and after `--` every token is
+    FILE or an extra; a `--` that comes after FILE must follow it directly.
+    Raise `_Usage` on a flag given a value, a missing FILE or value of an
+    option, an unknown option or any extra token."""
+    extras = []
+    for at, token in enumerate(argv):  # before the command, only --help
+        option = None if token == "--" else _option(token, ("--help",))
+        if option is None:
+            break
+        if option[1] is not None:
+            raise _Usage("option --help takes no value")
+        if option[0]:
+            return None
+        extras.append(token)
+    else:
+        raise _Usage("missing command")
+    command, rest = argv[at], argv[at + 1:]
+    if command not in _COMMANDS:
+        raise _Usage(f"invalid command {command!r} (choose from {', '.join(_COMMANDS)})")
+    run, refusal, options = _COMMANDS[command]
+    spec = {"--help": "--help", **{o.partition("=")[0]: o for o in options}}
+    args = SimpleNamespace(command=command, file=None, run=run, refusal=refusal,
+                           **{_dest(o): None if "=" in o else False for o in options})
+    end = rest.index("--") if "--" in rest else len(rest)
+    kinds = [_option(token, spec) for token in rest[:end]]  # an ambiguous prefix first
+    i = file_end = 0
+    while i < len(rest):
+        if i == end:  # after FILE, "--" must follow it directly
+            if args.file is not None and file_end != end:
+                extras.append(rest[i])
+        elif i > end or kinds[i] is None:
+            if args.file is None:
+                args.file, file_end = rest[i], i + 1
+            else:
+                extras.append(rest[i])
+        elif kinds[i][0] is None:
+            extras.append(rest[i])
+        else:
+            name, value = kinds[i]
+            if "=" in spec[name]:
+                if value is None:
+                    i += 1
+                    if i == end or kinds[i] is not None:
+                        raise _Usage(f"option {name} expects a value")
+                    value = rest[i]
+                setattr(args, _dest(name), value)
+            elif value is not None:
+                raise _Usage(f"option {name} takes no value")
+            elif name == "--help":
+                return None
+            else:
+                setattr(args, _dest(name), True)
+        i += 1
+    if args.file is None:
+        raise _Usage("missing FILE")
+    for option in options:
+        if "=" in option and getattr(args, _dest(option)) is None:
+            raise _Usage(f"missing {option}")
+    if extras:
+        raise _Usage(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
@@ -96,9 +170,13 @@ def main(argv=None) -> int:
 
 def _main(argv) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+        args = _parse(list(sys.argv[1:] if argv is None else argv))
+    except _Usage as exc:
+        sys.stderr.write(f"{_usage()}ilalg: error: {exc}\n")
+        return EXIT_USAGE
+    if args is None:
+        sys.stdout.write(_usage())
+        return EXIT_OK
     try:
         with open(args.file, encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -245,3 +323,16 @@ def _cmd_derive_arrow(doc, alg, report, args):
         return EXIT_OK, _table("arrow", alg, alg.arrow_table), ""
     rows = _named_rows(alg, alg.arrow_table)
     return EXIT_OK, (), "\n".join(_row_lines("arrow", alg.carrier, rows)) + "\n"
+
+
+# Each command once: its handler, its refusal and its options. An option
+# written NAME=VALUE takes a value and is required; the others are flags.
+_COMMANDS = {
+    "check": (_cmd_check, None, ("--lenient", "--machine")),
+    "filters": (_cmd_filters, "filter enumeration needs a law-valid algebra",
+                ("--classify", "--machine")),
+    "quotient": (_cmd_quotient, "quotient construction needs a law-valid algebra",
+                 ("--filter=e1,e2,...", "--machine")),
+    "derive-arrow": (_cmd_derive_arrow, "residual derivation needs a law-valid algebra",
+                     ("--machine",)),
+}

@@ -4,8 +4,9 @@ code, stdout and stderr, kept in `tests/golden.json`.
 `corpus(folder)` writes the inputs into `folder` and lists the invocations;
 `run_corpus(folder)` runs each in-process. A key is the argv with each input
 path written as `<label>`, and the same placeholder stands for the path in
-the output before it is hashed. For an argparse usage error only the exit
-code is hashed: argparse's wording differs across Python versions.
+the output before it is hashed. Usage errors and help are hashed in full
+like every other invocation: their wording is ilalg's own, the same on every
+Python version.
 
 Run this file to re-pin the corpus after a deliberate output change:
 
@@ -118,9 +119,9 @@ def _inputs():
     return inputs
 
 
-def corpus(folder: Path) -> tuple[list[tuple[str, list[str], bool]], dict[str, str]]:
-    """Write the inputs into `folder`. Return the (key, argv, code only)
-    invocations, and the label of each input path."""
+def corpus(folder: Path) -> tuple[list[tuple[str, list[str]]], dict[str, str]]:
+    """Write the inputs into `folder`. Return the (key, argv) invocations,
+    and the label of each input path."""
     paths = {}
 
     def path(label, text=None, data=None):
@@ -143,12 +144,10 @@ def corpus(folder: Path) -> tuple[list[tuple[str, list[str], bool]], dict[str, s
     argvs += [["check", path("missing")],
               ["check", path("latin1", data="algebra caf\xe9\n".encode("latin-1"))],
               ["check", path("parse-error", "algebra x\nelements a\nunit a\nstar a : a a\n")]]
-    usage = [[], ["--help"], ["check"], ["no-such-command", fork],
-             ["quotient", fork], ["check", fork, "--no-such-flag"]]
-    invocations = [
-        (" ".join(f"<{paths[a]}>" if a in paths else a for a in argv), argv, argv in usage)
-        for argv in argvs + usage
-    ]
+    argvs += [[], ["--help"], ["check", "--help"], ["check"], ["no-such-command", fork],
+              ["quotient", fork], ["check", fork, "--no-such-flag"]]  # help and usage errors
+    invocations = [(" ".join(f"<{paths[a]}>" if a in paths else a for a in argv), argv)
+                   for argv in argvs]
     return invocations, paths
 
 
@@ -159,14 +158,14 @@ def run_corpus(folder: Path) -> dict[str, tuple[str, int, str, str]]:
 
     invocations, paths = corpus(folder)
     results = {}
-    for key, argv, code_only in invocations:
+    for key, argv in invocations:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         out, err = out.getvalue(), err.getvalue()
         for path, label in paths.items():
             out, err = out.replace(path, f"<{label}>"), err.replace(path, f"<{label}>")
-        payload = json.dumps([code] if code_only else [code, out, err])
+        payload = json.dumps([code, out, err])
         results[key] = (hashlib.sha256(payload.encode()).hexdigest(), code, out, err)
     return results
 

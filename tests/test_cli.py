@@ -167,6 +167,66 @@ def test_bad_usage_is_exit_three(capsys):
     assert main(["quotient", fx("fork")]) == 3  # --filter is required
 
 
+# The argv rules of the README's "Command line": options on either side of
+# FILE, `--`, unique prefixes, help. F is fork.alg. The third column is, for
+# exit 0 or 1, the canonical spelling whose stdout an accepted form prints;
+# for exit 3, how stderr begins.
+ARGV_CONTRACT = [
+    (["--help"], 0, ["--help"]),
+    (["-h"], 0, ["--help"]),
+    (["--he"], 0, ["--help"]),
+    (["check", "--help"], 0, ["--help"]),
+    (["check", "F", "--lenient", "--help"], 0, ["--help"]),
+    (["check", "--machine", "F"], 0, ["check", "F", "--machine"]),
+    (["check", "F", "--mach"], 0, ["check", "F", "--machine"]),
+    (["check", "F", "--len"], 0, ["check", "F", "--lenient"]),
+    (["check", "F", "--machine", "--machine"], 0, ["check", "F", "--machine"]),
+    (["check", "--", "F"], 0, ["check", "F"]),
+    (["check", "F", "--"], 0, ["check", "F"]),
+    (["filters", "F", "--c"], 0, ["filters", "F", "--classify"]),
+    (["quotient", "--filter", "1,top", "F"], 0, ["quotient", "F", "--filter=1,top"]),
+    (["quotient", "F", "--filt=1,top"], 0, ["quotient", "F", "--filter=1,top"]),
+    (["quotient", "F", "--filter="], 1, ["quotient", "F", "--filter="]),
+    (["quotient", "F", "--filter=1,top", "--filter=top"], 1, ["quotient", "F", "--filter=top"]),
+    ([], 3, "usage:"),
+    (["check"], 3, "usage:"),
+    (["nope", "F"], 3, "usage:"),
+    (["CHECK", "F"], 3, "usage:"),
+    (["che", "F"], 3, "usage:"),
+    (["check", "F", "--machine=1"], 3, "usage:"),
+    (["check", "F", "extra"], 3, "usage:"),
+    (["check", "F", "-x"], 3, "usage:"),
+    (["derive-arrow", "F", "-m"], 3, "usage:"),
+    (["filters", "F", "--lenient"], 3, "usage:"),
+    (["quotient", "F"], 3, "usage:"),
+    (["quotient", "F", "--filter"], 3, "usage:"),
+    (["quotient", "F", "--filter", "-1,0"], 3, "usage:"),
+    (["quotient", "F", "--filter", "-1"], 3, "bad --filter value: unknown element name '-1'"),
+    (["check", "-3.alg"], 3, "usage:"),
+    (["check", "-"], 3, "cannot read -: "),
+]
+
+
+@pytest.mark.parametrize("argv,code,expected", ARGV_CONTRACT,
+                         ids=[" ".join(argv) or "[]" for argv, _, _ in ARGV_CONTRACT])
+def test_argv_contract(argv, code, expected, capsys):
+    def run_argv(argv):
+        code = main([fx("fork") if a == "F" else a for a in argv])
+        return code, *capsys.readouterr()
+
+    got, out, err = run_argv(argv)
+    assert got == code
+    if code != 3:
+        assert (out, err) == run_argv(expected)[1:]
+        return
+    assert out == ""
+    assert err.startswith(expected)
+    if expected == "usage:":  # the help text, then one error line
+        *usage, error = err.splitlines(keepends=True)
+        assert "".join(usage) == run_argv(["--help"])[1]
+        assert error.startswith("ilalg: error: ")
+
+
 def test_parse_error_is_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.alg"
     bad.write_text("algebra x\nelements a\nunit a\nstar a : a a\n")
@@ -250,8 +310,8 @@ def test_quotient_non_filter_exits_one_with_witness(capsys, tmp_path):
 
 
 def test_quotient_filter_names_beginning_with_minus(capsys, tmp_path):
-    # argparse reads "-1,..." after a space as an option, so such a filter
-    # is passed as --filter=-1,...
+    # After a space, "-1,..." begins with "-" and is no number, so it is read
+    # as an option and refused; such a filter is passed as --filter=-1,...
     alg, members = sugihara_chain(3), "-1,0,1,2,3"
     source = written(tmp_path, alg, "S7")
     assert main(["quotient", source, "--machine", "--filter", members]) == 3
@@ -539,13 +599,20 @@ def test_full_stdout_exits_three_with_one_line():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # Every CLI start pays for what `import ilalg.cli` loads. It runs in a
-    # subprocess because pytest itself has loaded both modules here.
-    probe = "import sys, ilalg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+    # Every CLI start pays for what `import ilalg.cli` loads, and for what
+    # reading argv loads: not argparse either. It runs in a subprocess
+    # because pytest itself has loaded all three modules here.
+    probe = """
+import contextlib, io, sys, ilalg.cli
+loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    ilalg.cli.main(["check", sys.argv[1]])
+print(loaded, "argparse" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe, fx("fork")], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[] False\n"
 
 
 def test_cli_commands_import_only_what_they_run():

@@ -762,6 +762,11 @@ def test_operation_accessors():
     assert fork.star(dd, dd) == fork.index("1")
     with pytest.raises(IndexError):
         alg.star(0, alg.n)
+    # One past the last index, with the message: tuple indexing raises a bare
+    # IndexError of its own on a check that lets n through.
+    bool2 = algebra_of("bool2")
+    with pytest.raises(IndexError, match=r"^element index 2 out of range 0\.\.1$"):
+        bool2.star(0, bool2.n)
     with pytest.raises(IndexError):
         alg.leq(-1, 0)
 
@@ -859,6 +864,7 @@ def test_build_errors_on_malformed_structure():
         (["x", "y"], [(0, 1)], [[0, 0]], 0, "star table has 1 rows, expected 2"),
         (["x", "y"], [(0, 1)], [[0, 0], [0, 7]], 0, "star table entry 7 out of range"),
         (["x", "y"], [(0, 1)], [[0, 0], [0, 1]], 5, "unit index 5 out of range"),
+        (["x", "y"], [(0, 1)], [[0, 0], [0, 1]], 2, "unit index 2 out of range"),
     ):
         with pytest.raises(BuildError) as err:
             assemble_algebra(carrier, order, star, unit=unit)

@@ -286,6 +286,8 @@ def test_subset_mask_validation():
     alg = algebra_of("bool2")
     with pytest.raises(IndexError):
         subset_mask(alg, [5])
+    with pytest.raises(IndexError, match=r"^element index 2 out of range 0\.\.1$"):
+        subset_mask(alg, [alg.n])
     with pytest.raises(IndexError):
         subset_mask(alg, 1 << alg.n)
     assert subset_mask(alg, [0, 1]) == 3
