@@ -465,6 +465,21 @@ def test_predicates_on_every_subset_match_the_exhaustive_sweeps(name):
         assert is_implicative_filter(alg, mask) == _implicative_sweep(alg, mask)
 
 
+@pytest.mark.parametrize("case", [f"{name}{times}" for name in VALID_FIXTURES
+                                  for times in ("", "*bool2")])
+def test_distributivity_defects_follow_their_definition(case):
+    # every triple (x, y, z) with y < z and a != b, in lexicographic order,
+    # where (a, b) = ((x join y) meet (x join z), x join (y meet z))
+    alg = product_of(case)
+    jn, mt = alg.join_table, alg.meet_table
+    expected = []
+    for x, y, z in itertools.product(range(alg.n), repeat=3):
+        a, b = mt[jn[x][y]][jn[x][z]], jn[x][mt[y][z]]
+        if y < z and a != b:
+            expected.append(((a, b), (x, y, z)))
+    assert list(filters._distributivity_defects(alg)) == expected
+
+
 def product_of(case):
     """The algebra of a case label: factors joined by '*', as in G5*fork."""
     return reduce(direct_product, [factor(label) for label in case.split("*")])
