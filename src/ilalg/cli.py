@@ -168,6 +168,27 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """The process entry of `python -m ilalg` and of the `ilalg` script.
+
+    `main` has flushed the report when it returns, so the process then ends
+    with `os._exit`: the interpreter's teardown (module teardown, freeing
+    every object, a last collection) writes nothing and took 7-10 ms of a
+    call. A tracer or profiler (`python -m trace`, `python -m cProfile`,
+    coverage) writes its report at normal exit, so under one the code goes
+    back to the caller's `sys.exit`. From Python 3.12 cProfile registers as
+    a `sys.monitoring` tool, not through `sys.setprofile`, so the tools are
+    read too. An exception from `main` propagates as usual.
+    """
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    if (sys.gettrace() is None and sys.getprofile() is None
+            and (monitoring is None or not any(map(monitoring.get_tool, range(6))))):
+        sys.stderr.flush()
+        os._exit(code)
+    return code
+
+
 def _main(argv) -> int:
     try:
         args = _parse(list(sys.argv[1:] if argv is None else argv))

@@ -598,6 +598,58 @@ def test_full_stdout_exits_three_with_one_line():
     assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
 
 
+# `python -m ilalg` ends with `os._exit` once `main` has flushed (`cli.run`).
+# Each process must still print what `main` prints in-process: the long
+# lenient reports in many slices, a quotient whose pasted document is the
+# last write, and the exits that print on stderr only.
+PROCESS_EXITS = [
+    (["check", "bad20", "--lenient"], 1),
+    (["check", "bad20", "--lenient", "--machine"], 1),
+    (["quotient", "chain6lo", "--filter=1,b,c,d,top"], 0),
+    (["derive-arrow", "bool2"], 0),
+    (["check", "unparsable"], 2),
+    (["check"], 3),
+    (["--help"], 0),
+]
+
+
+@pytest.mark.parametrize("sink", ["pipe", "file"])
+@pytest.mark.parametrize("argv, code", PROCESS_EXITS, ids=[" ".join(a) for a, _ in PROCESS_EXITS])
+def test_process_exit_loses_nothing(capsys, tmp_path, bool2_6, argv, code, sink):
+    unparsable = tmp_path / "unparsable.alg"
+    unparsable.write_text("algebra x\nelements a\nunit a\nstar a : a a\n")
+    paths = {"bad20": bool2_6["bad20"], "chain6lo": fx("chain6lo"), "bool2": fx("bool2"),
+             "unparsable": str(unparsable)}
+    argv = [paths.get(a, a) for a in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    expected = (code, captured.out.encode(), captured.err.encode())
+    command = [sys.executable, "-m", "ilalg", *argv]
+    # block-buffered stdout, as by default: what `os._exit` would drop
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if sink == "pipe":
+        proc = subprocess.run(command, capture_output=True, env=env, timeout=60)
+        got = (proc.returncode, proc.stdout, proc.stderr)
+    else:
+        with open(tmp_path / "out", "wb") as out, open(tmp_path / "err", "wb") as err:
+            returncode = subprocess.run(command, stdout=out, stderr=err, env=env,
+                                        timeout=60).returncode
+        got = (returncode, (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes())
+    assert got == expected
+
+
+def test_profiler_prints_its_table_after_the_report(capsys):
+    # Under a profiler `cli.run` leaves the exit to `sys.exit`, so cProfile
+    # still prints its table when the command is done.
+    assert main(["check", fx("chain6lo")]) == 0
+    report = capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "ilalg", "check",
+                           fx("chain6lo")], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(report)
+    assert "function calls" in proc.stdout[len(report):]
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # Every CLI start pays for what `import ilalg.cli` loads, and for what
     # reading argv loads: not argparse either. It runs in a subprocess
