@@ -201,3 +201,38 @@ def lukasiewicz_chain(n):
     return _chain(
         [f"l{i}" for i in range(n)], lambda x, y: max(0, x + y - (n - 1)), unit=n - 1
     )
+
+
+def ordinal_sum(a, b):
+    """The ordinal sum A ⊕ B of two integral algebras, strictly built.
+
+    The carrier is (A ∖ {1}) ∪ B, named "a.x" and "b.y", with every element
+    of A ∖ {1} below every element of B. `*` is A's within A ∖ {1} and B's
+    within B, and a*b = b*a = a across; the residual is derived. A filter
+    is either a filter of B or (F ∖ {1}) ∪ B for a filter F ≠ {1} of A, so
+    A ⊕ B has |Filt A| + |Filt B| − 1 filters, and when A is a chain
+    p(A) + p(B) − 1 prime filters.
+    """
+    assert a.unit == a.top and b.unit == b.top, "ordinal sums of integral algebras"
+    low = [x for x in range(a.n) if x != a.unit]
+    m = len(low)
+    at = {x: i for i, x in enumerate(low)}
+
+    def star(i, j):
+        if i >= m and j >= m:
+            return m + b.star_table[i - m][j - m]
+        if i < m and j < m:
+            return at[a.star_table[low[i]][low[j]]]
+        return min(i, j)
+
+    n = m + b.n
+    order = ([(at[x], at[y]) for x in low for y in low if a.leq_table[x][y]]
+             + [(i, j) for i in range(m) for j in range(m, n)]
+             + [(m + x, m + y) for x in range(b.n) for y in range(b.n) if b.leq_table[x][y]])
+    alg, _ = assemble_algebra(
+        [f"a.{a.carrier[x]}" for x in low] + [f"b.{y}" for y in b.carrier],
+        order,
+        [[star(i, j) for j in range(n)] for i in range(n)],
+        unit=m + b.unit,
+    )
+    return alg

@@ -12,7 +12,7 @@ from functools import lru_cache
 import pytest
 
 from helpers import (algebra_of, bool2_power, direct_product, godel_chain, lukasiewicz_chain,
-                     rot_star, star_tampered, sugihara_chain, upset_of_unit)
+                     ordinal_sum, rot_star, star_tampered, sugihara_chain, upset_of_unit)
 from ilalg import build_algebra, document_of, enumerate_filters, render_spec
 
 GENERATORS = {
@@ -21,6 +21,7 @@ GENERATORS = {
     "wide7-2": lambda: direct_product(*[algebra_of("wide7-corrected")] * 2),
     "sugihara-63": lambda: sugihara_chain(31),
     "lukasiewicz-64": lambda: lukasiewicz_chain(64),
+    "godel-32-sum-bool2-5": lambda: ordinal_sum(godel_chain(32), bool2_power(5)),
 }
 UNIT_UPSET = "--filter=<unit upset>"
 
@@ -48,7 +49,7 @@ def ilalg(*argv):
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """Paths by label: the five cap algebras, and bool2^6 with 20 star cells
+    """Paths by label: the six cap algebras, and bool2^6 with 20 star cells
     changed (13,932 records under check --lenient) or with x*y = rot(x) meet
     y and no arrow rows (478,096 records, about 82 MB of text)."""
     folder = tmp_path_factory.mktemp("cap")

@@ -769,6 +769,13 @@ def test_operation_accessors():
         bool2.star(0, bool2.n)
     with pytest.raises(IndexError):
         alg.leq(-1, 0)
+    for x in range(alg.n):
+        for y in range(alg.n):
+            assert alg.leq(x, y) == alg.leq_table[x][y]
+            assert alg.join(x, y) == alg.join_table[x][y]
+            assert alg.meet(x, y) == alg.meet_table[x][y]
+            assert alg.star(x, y) == alg.star_table[x][y]
+            assert alg.arrow(x, y) == alg.arrow_table[x][y]
 
 
 def test_is_idempotent():
@@ -785,6 +792,13 @@ def test_integrality_equivalence(name):
     integral = check_integrality_equivalence(alg)
     assert integral == (alg.top == alg.unit)
     assert integral == oracle.is_integral(model_of(name))
+
+
+def test_integrality_disagreeing_with_top_is_a_build_error():
+    # bool2 is integral, so a top moved to the bottom contradicts its tables
+    alg = algebra_of("bool2")
+    with pytest.raises(BuildError, match="^integrality and top == unit disagree"):
+        check_integrality_equivalence(alg._replace(top=alg.bottom))
 
 
 def test_carrier_size_cap():

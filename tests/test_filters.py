@@ -17,6 +17,7 @@ from helpers import (
     mask_of,
     model_of,
     oracle_model,
+    ordinal_sum,
     shuffled,
     sugihara_chain,
     upset_of_unit,
@@ -36,6 +37,7 @@ from ilalg import (
     is_implicative_filter,
     is_maximal_filter,
     is_prime_filter,
+    quotient_algebra,
     subset_mask,
 )
 from ilalg import filters
@@ -430,6 +432,37 @@ def factor(label):
     if label[0] in CHAINS:
         return CHAINS[label[0]](int(label[1:]))
     return algebra_of(label)
+
+
+def _ordinal_part(alg, summand, prefix, members):
+    """The mask in the ordinal sum `alg` of a summand's members, its unit
+    dropped from the lower summand."""
+    return mask_of(alg, [f"{prefix}.{summand.carrier[x]}" for x in members
+                         if prefix == "b" or x != summand.unit])
+
+
+@pytest.mark.parametrize("lower, upper", [
+    *itertools.product(["bool2", "G8", "L8"], ["bool2", "point", "G8", "L8", "bool2^2"]),
+    ("G32", "bool2^5"),  # n = 63, 63 filters
+])
+def test_ordinal_sum_filters_are_known(lower, upper):
+    a = factor(lower)
+    b = bool2_power(int(upper[6:])) if upper.startswith("bool2^") else factor(upper)
+    alg = ordinal_sum(a, b)
+    assert alg.valid and alg.n == a.n - 1 + b.n
+    # the filters of B, and (F ∖ {1}) ∪ B for each filter F ≠ {1} of A
+    whole_b = _ordinal_part(alg, b, "b", range(b.n))
+    expected = {_ordinal_part(alg, b, "b", g.members()) for g in enumerate_filters(b)}
+    expected |= {_ordinal_part(alg, a, "a", f.members()) | whole_b
+                 for f in enumerate_filters(a) if f.mask != 1 << a.unit}
+    found = enumerate_filters(alg)
+    assert {f.mask for f in found} == expected
+    assert len(found) == len(enumerate_filters(a)) + len(enumerate_filters(b)) - 1
+    primes = lambda x: sum(row.flags.prime for row in classify_all(x))
+    assert primes(alg) == primes(a) + primes(b) - 1
+    # by the B-filter B itself: B is one block and A ∖ {1} stays apart
+    result = quotient_algebra(alg, whole_b)
+    assert result.algebra.valid and len(result.blocks) == a.n
 
 
 # products of two valid fixtures up to n = 30, three chains, and 5-element
