@@ -18,7 +18,11 @@ relation, the members of S = {w1, ..., wm} above all of S are
 S & up[w1] & ... & up[wm]; the residual takes the greatest solution only
 when exactly one remains, so a relation with a cycle still has none. The
 bound tables are checked against the same masks, and transitivity with k
-taken from up[j] minus up[i] in ascending order.
+taken from up[j] minus up[i] in ascending order. A build closes its order
+by Warshall's algorithm on up masks and reads each mask back as a row in
+one `format`. An order has a cycle exactly when some up[i] & down[i] has a
+bit other than i, and the first two-way pair (i, j) in row-major order is
+the first such i with j its lowest bit above i.
 
 On a residuated structure the solutions of x*w <= z are exactly the
 downset of x->z, so `derive_arrow` first looks the solution mask S up
@@ -41,11 +45,12 @@ z, row y of a table sent through row x of another with a row read off x*y.
 - arrow-curry: row x*y of arrow, (x*y)->z, against x->(y->z);
 - star-distributes-join: row x*y of the n rows (x*z) join s, built for one
   x at a time, against x*(y join z).
-Two rows are compared with one bytes equality test, and only a row that
-differs is walked element by element, in ascending order, to emit its
-witnesses. Rows are visited in the order of (x, y), so every violation
-comes out exactly as a sweep of all triples in lexicographic order gives
-it, on any table.
+The n rows of one x are compared first all at once, joined into one
+block; only an x whose blocks differ has its rows compared one by one, and
+only a row that differs is walked element by element, in ascending order,
+to emit its witnesses. Rows are visited in the order of (x, y), so every
+violation comes out exactly as a sweep of all triples in lexicographic
+order gives it, on any table.
 
 Each suite is a generator of its violations in that order. A build pulls
 only the first of each suite to decide `valid`, and its report resumes
@@ -233,16 +238,20 @@ def require_valid(alg: FiniteILAlgebra, operation: str) -> None:
 
 def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[bool]]:
     """Reflexive-transitive closure of a relation given as index pairs,
-    by Warshall's algorithm over up masks."""
+    by Warshall's algorithm over up masks. A pair outside range(n) raises
+    BuildError."""
     up = [1 << i for i in range(n)]
     for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise BuildError(f"order pair ({a}, {b}) out of range")
         up[a] |= 1 << b
     for k in range(n):
         bit, above = 1 << k, up[k]
         for i in range(n):
             if up[i] & bit:
                 up[i] |= above
-    return [[bool(m >> j & 1) for j in range(n)] for m in up]
+    # Each mask in binary, reversed, spells its row with bit j at place j.
+    return [list(map(bool, format(m, f"0{n}b")[::-1].encode().translate(_BOOLS))) for m in up]
 
 
 def _bits(mask: int):
@@ -255,15 +264,10 @@ def _bits(mask: int):
 
 def _order_masks(le) -> tuple[list[int], list[int]]:
     """Up and down masks of a relation: bit j of up[i] and bit i of down[j]
-    are both le[i][j]."""
-    n = len(le)
-    up, down = [0] * n, [0] * n
-    for i, row in enumerate(le):
-        for j, related in enumerate(row):
-            if related:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    return up, down
+    are both le[i][j]. A row, reversed and sent through `_DIGITS`, spells
+    its mask in binary."""
+    return ([int(bytes(row[::-1]).translate(_DIGITS), 2) for row in le],
+            [int(bytes(col[::-1]).translate(_DIGITS), 2) for col in zip(*le)])
 
 
 def derive_arrow(star, le) -> list[list[int]]:
@@ -279,7 +283,7 @@ def derive_arrow(star, le) -> list[list[int]]:
     # Column z of the relation as a translate table to the digits 0 and 1:
     # star row x, reversed and sent through it, spells the solution mask of
     # (x, z) in binary, with bit w set when x*w <= z.
-    columns = [_lookup(b"01"[related] for related in col) for col in zip(*le)]
+    columns = [_lookup(bytes(col).translate(_DIGITS)) for col in zip(*le)]
     table = []
     failures = []
     for x, row in enumerate(star):
@@ -341,20 +345,19 @@ def assemble_algebra(
         _check_table("arrow", arrow, n)
     if not 0 <= unit < n:
         raise BuildError(f"unit index {unit} out of range")
-    order_pairs = list(order_pairs)
-    for a, b in order_pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise BuildError(f"order pair ({a}, {b}) out of range")
 
     le = transitive_closure(n, order_pairs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if le[i][j] and le[j][i]:
-                raise BuildError(
-                    f"order contains a cycle through {names[i]!r} and {names[j]!r}"
-                )
-
     up, down = _order_masks(le)
+    # The first two-way pair (i, j) with i < j in row-major order: j is the
+    # lowest bit above i of up[i] & down[i].
+    for i in range(n):
+        two = (up[i] & down[i]) >> i + 1
+        if two:
+            j = i + (two & -two).bit_length()
+            raise BuildError(
+                f"order contains a cycle through {names[i]!r} and {names[j]!r}"
+            )
+
     least = {mask: u for u, mask in enumerate(up)}
     greatest = {mask: u for u, mask in enumerate(down)}
     bottom = least.get((1 << n) - 1)
@@ -499,6 +502,10 @@ def _rows(table) -> list[bytes]:
     return [bytes(row) for row in table]
 
 
+# Translate tables: the bytes 0 and 1 to the digits "0" and "1", and back.
+_DIGITS, _BOOLS = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
+
+
 def _lookup(row) -> bytes:
     """A row padded to a bytes.translate table: `index_row.translate(t)` is
     `bytes(row[k] for k in index_row)`."""
@@ -520,8 +527,13 @@ def _mismatches(left: bytes, right: bytes, start: int = 0) -> list[int]:
 def _curried(st, outers, inner, lookups):
     """(x, y, z, left[z], right[z]) wherever the row left = outers[x][x*y]
     differs from right = inner[y] translated through lookups[x], for x, y
-    and z ascending. `outers` is read one x at a time."""
+    and z ascending. `outers` is read one x at a time. The n rows of one x
+    are compared at once, joined into one block, and only an x whose block
+    differs is walked by y."""
+    block = b"".join(inner)
     for x, (st_x, outer, lookup_x) in enumerate(zip(st, outers, lookups)):
+        if b"".join(map(outer.__getitem__, st_x)) == block.translate(lookup_x):
+            continue
         for y, s in enumerate(st_x):
             left, right = outer[s], inner[y].translate(lookup_x)
             if left != right:

@@ -43,6 +43,11 @@ lexicographically first witness:
   `_distributivity_defects` yields in lexicographic order. A pair's first
   triple is its first failing one, so trying the pairs in the order of
   their first triples finds the witness.
+  `_distributivity_defects` compares the two sides a whole row over z at
+  a time, so a distributive lattice costs one comparison per x. It skips
+  only rows whose two sides are equal, which hold no triple with a != b,
+  and visits x, y and then z > y in ascending order, so it yields exactly
+  the triples with y < z and a != b, in lexicographic order.
 The two predicates use these forms on law-valid algebras and subsets that
 are exactly ^e for an idempotent subunit e. Any other subset goes to the
 exhaustive sweep over triples.
@@ -55,7 +60,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Iterable, Iterator, NamedTuple
 
-from .core import FiniteILAlgebra, require_valid
+from .core import FiniteILAlgebra, _lookup, _lookups, _rows, require_valid
 from .errors import AlgebraError, NotAFilterError
 
 
@@ -221,24 +226,26 @@ def _distributivity_defects(alg: FiniteILAlgebra) -> Iterator[Defect]:
     of every triple (x, y, z) with a != b and y < z, with the triple, in
     lexicographic order; none exist on a distributive lattice.
 
-    Only triples with y and z incomparable and neither below x can have
-    a != b: if y <= z then y meet z = y and x join y <= x join z, so
-    a = x join y = b; if y <= x then x join y = x, so a = x meet (x join z)
-    = x = b. Both sides are symmetric in y and z, so z runs above y only.
+    Both sides are rows over z, for one x and all y at once: row y of the
+    left side is the meet row of x join y read at join row x, and row y of
+    the right side is meet row y sent through join row x. The left rows
+    are the distinct meet rows of join row x, each translated once. One
+    bytes comparison settles an x, and only an x whose two blocks differ
+    is walked, by y and then z > y ascending, where the rows differ.
     """
-    n, le, jn, mt = alg.n, alg.leq_table, alg.join_table, alg.meet_table
-    above = [[z for z in range(y + 1, n) if not (le[y][z] or le[z][y])] for y in range(n)]
-    for x in range(n):
-        jx, below_x = jn[x], [row[x] for row in le]
-        for y in range(n):
-            if below_x[y]:
-                continue
-            mjy, my = mt[jx[y]], mt[y]
-            for z in above[y]:
-                if not below_x[z]:
-                    a, b = mjy[jx[z]], jx[my[z]]
-                    if a != b:
-                        yield (a, b), (x, y, z)
+    n, jn_rows, mt_lookups = alg.n, _rows(alg.join_table), _lookups(alg.meet_table)
+    meets = b"".join(_rows(alg.meet_table))
+    for x, jx in enumerate(jn_rows):
+        left = {w: jx.translate(mt_lookups[w]) for w in set(jx)}
+        right = meets.translate(_lookup(jx))
+        if b"".join(map(left.__getitem__, jx)) == right:
+            continue
+        for y, w in enumerate(jx):
+            a, b = left[w], right[y * n:(y + 1) * n]
+            if a != b:
+                for z in range(y + 1, n):
+                    if a[z] != b[z]:
+                        yield (a[z], b[z]), (x, y, z)
 
 
 def is_distributive_filter(

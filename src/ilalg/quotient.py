@@ -20,6 +20,7 @@ from .core import (
     _bits,
     _lookup,
     _mismatches,
+    _rows,
     assemble_algebra,
 )
 from .errors import CongruenceError, WellDefinednessError
@@ -65,13 +66,13 @@ def congruence_classes(
     construction); a failure means the algebra is invalid, and raises.
     """
     mask = _filter_mask(alg, subset, "congruence_classes")
-    ar = alg.arrow_table
     n = alg.n
-    inside = [mask >> v & 1 for v in range(n)]
-    # Bit y of rel[x]: x ~ y.
+    # Bit y of rel[x]: x ~ y. Arrow row x and column x, each reversed and
+    # sent through the filter's digits, spell x->y and y->x in F in binary.
+    digits = _lookup(b"01"[mask >> v & 1] for v in range(n))
     rel = [
-        sum((inside[ar[x][y]] & inside[ar[y][x]]) << y for y in range(n))
-        for x in range(n)
+        int(row[::-1].translate(digits), 2) & int(col[::-1].translate(digits), 2)
+        for row, col in zip(_rows(alg.arrow_table), _rows(zip(*alg.arrow_table)))
     ]
     for x in range(n):
         if not rel[x] >> x & 1:

@@ -37,6 +37,7 @@ from helpers import (
     doc_of,
     godel_chain,
     lukasiewicz_chain,
+    ordinal_sum,
     rot_star,
     star_tampered,
     sugihara_chain,
@@ -86,7 +87,8 @@ def _inputs():
         inputs[label] = (render_spec(document_of(alg, label)), PRODUCT_COMMANDS,
                          [alg.names(filters[len(filters) // 2].members())])
     for label, alg in (("bool2-6", bool2_power(6)), ("sugihara-63", sugihara_chain(31)),
-                       ("godel-64", godel_chain(64)), ("lukasiewicz-64", lukasiewicz_chain(64))):
+                       ("godel-64", godel_chain(64)), ("lukasiewicz-64", lukasiewicz_chain(64)),
+                       ("godel-32-sum-bool2-5", ordinal_sum(godel_chain(32), bool2_power(5)))):
         filters = enumerate_filters(alg)
         subsets = (upset_of_unit(alg), filters[len(filters) // 2].members(),
                    [alg.bottom, alg.unit])  # the last is not upward closed

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import tracemalloc
 import pytest
 
 from helpers import (
+    ALL_FIXTURES,
     VALID_FIXTURES,
     algebra_of,
     bool2_power,
@@ -24,7 +26,7 @@ from helpers import (
 from ilalg import cli, core
 from ilalg.cli import main
 from ilalg import identities
-from ilalg.fixtures import fixture_path
+from ilalg.fixtures import fixture_path, fixture_text
 from ilalg.report import ReportDocument, ReportLine, parse_machine
 from ilalg import document_of, parse_spec, quotient_algebra, render_spec
 
@@ -786,3 +788,52 @@ def test_report_line_round_trip_unit():
         ReportLine("NOTE", "x", ("a,b",), "").machine()
     with pytest.raises(ValueError):
         ReportLine.from_machine("only;three;fields")
+
+
+# Tokens a mutation may write: the directives, the order and row
+# separators, and names no fixture uses.
+JUNK = ("algebra", "elements", "order", "unit", "bottom", "top", "star", "arrow",
+        "<=", ":", "#", "zz", "-1", "caf\u00e9")
+PROBE_COMMANDS = (["check"], ["check", "--lenient", "--machine"], ["filters", "--classify"],
+                  ["derive-arrow"], ["quotient"])
+
+
+def mutated(text, names, rng):
+    """`text` with one to three seeded token mutations: a token replaced by
+    an element name (twice as likely as the others) or by a JUNK token, a
+    token deleted, a line repeated or a line deleted."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(rng.randint(1, 3)):
+        i, kind = rng.randrange(len(lines)), rng.randrange(-1, 5)
+        line = lines[i]
+        if kind < 3 and line:
+            k = rng.randrange(len(line))
+            if kind == 2:
+                del line[k]
+            else:
+                line[k] = rng.choice(JUNK if kind == 1 else names)
+        elif kind == 3:
+            lines.insert(i, list(line))
+        else:
+            del lines[i]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_mutated_fixtures_never_end_in_a_traceback(tmp_path, capsys, name):
+    # every command on 100 seeded mutations of each fixture's text, about 1 s
+    # in all: each run ends with exit 0-3 and an exception reaches no caller
+    rng = random.Random(name)
+    text, path = fixture_text(name), tmp_path / "mutated.alg"
+    names = parse_spec(text).elements
+    codes = set()
+    for _ in range(100):
+        path.write_text(mutated(text, names, rng), encoding="utf-8")
+        argv = [*rng.choice(PROBE_COMMANDS)]
+        if argv == ["quotient"]:
+            argv.append("--filter=" + ",".join(rng.sample(names, rng.randint(1, len(names)))))
+        code = main([argv[0], str(path), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code in range(4) and "Traceback" not in err, (argv, path.read_text())
+        codes.add(code)
+    assert len(codes) > 1

@@ -591,6 +591,38 @@ def test_transitive_closure_matches_oracle(seed):
     assert all(type(v) is bool for row in le for v in row)
 
 
+@pytest.mark.parametrize("pair", [(0, 5), (-1, 0), (5, 0), (0, -1), (3, 3)])
+def test_transitive_closure_refuses_a_pair_outside_the_carrier(pair):
+    # n = 3: a high bit would lengthen a row, a negative index would close
+    # element 2, and a negative shift count would raise ValueError
+    with pytest.raises(BuildError) as err:
+        transitive_closure(3, [(0, 1), pair, (1, 2)])
+    assert str(err.value) == f"order pair {pair} out of range"
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cycle_refusal_names_the_first_two_way_pair(seed):
+    # A random relation on up to 64 elements with a random cycle in it; the
+    # refusal names the first (i, j), i < j, in row-major order with i <= j
+    # and j <= i in the closure, found by a plain loop.
+    rng = random.Random(seed)
+    n = rng.randint(2, 64)
+    names = [f"e{i}" for i in range(n)]
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+    cycle = rng.sample(range(n), rng.randint(2, min(n, 5)))
+    pairs += zip(cycle, cycle[1:] + cycle[:1])
+    le = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in pairs:
+        le[a][b] = True
+    for k, i in itertools.product(range(n), repeat=2):  # Warshall, k outermost
+        if le[i][k]:
+            le[i] = [x or y for x, y in zip(le[i], le[k])]
+    i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if le[i][j] and le[j][i])
+    with pytest.raises(BuildError) as err:
+        assemble_algebra(names, pairs, [[0] * n for _ in range(n)], unit=0)
+    assert str(err.value) == f"order contains a cycle through {names[i]!r} and {names[j]!r}"
+
+
 def test_check_monoid_exhaustive_on_chain():
     assert check_monoid(algebra_of("chain6lo")).ok
     assert check_monoid(algebra_of("point")).ok

@@ -41,6 +41,7 @@ from ilalg import (
     is_prime_filter,
     quotient_algebra,
 )
+from test_cap import GENERATORS, cap_algebra
 
 FIXTURE_FILTER_PAIRS = [
     (name, f.mask)
@@ -93,6 +94,17 @@ def test_blocks_match_pairwise_oracle(pair):
     ref = oracle.congruence_blocks(model_of(name), members)
     got = congruence_classes(alg, mask)
     assert [list(alg.names(blk)) for blk in got] == ref
+
+
+@pytest.mark.parametrize("name", GENERATORS)
+def test_congruence_classes_follow_their_definition_at_the_cap(name):
+    # x ~ y iff x->y and y->x lie in F, by a plain loop, for every filter F;
+    # the blocks are disjoint, so sorting them sorts by least member
+    alg = cap_algebra(name)
+    ar, rn = alg.arrow_table, range(alg.n)
+    for f in enumerate_filters(alg):
+        related = {tuple(y for y in rn if ar[x][y] in f and ar[y][x] in f) for x in rn}
+        assert congruence_classes(alg, f.mask) == tuple(sorted(related)), f.mask
 
 
 def test_quotient_by_unit_upset_reproduces_source():
